@@ -128,7 +128,11 @@ def cmd_c0(cfg: RunConfig) -> int:
 
 def cmd_scan(cfg: RunConfig) -> int:
     if cfg.figure:
-        rs, c0v, _, _ = equidist.batch_c0_vq(cfg.b)
+        try:
+            rs, c0v = equidist.batch_c0(cfg.b, threads=cfg.threads)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         rows = [[str(int(r)), _g17(v)] for r, v in zip(rs.tolist(), c0v.tolist())]
         path = _out_path(cfg.output, f"figure_b{cfg.b}.csv")
         try:
@@ -150,7 +154,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rs, c0v, _ = equidist.scan_arrays(window, threads=cfg.threads)
+    rs, c0v = rep.residues, rep.c0_values
     csv_path = _out_path(cfg.output, f"scan_b{cfg.b}.csv")
     json_path = os.path.splitext(csv_path)[0] + ".json"
     try:
@@ -454,7 +458,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--a0", type=float)
     p_scan.add_argument("--a1", type=float)
     p_scan.add_argument("--kmax", type=int, default=3)
-    p_scan.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p_scan.add_argument(
+        "--threads",
+        type=int,
+        default=os.cpu_count() or 1,
+        help="threads for the gather route at composite b (prime b uses one FFT)",
+    )
     p_scan.add_argument("--deterministic", action="store_true")
     p_scan.add_argument("--format", choices=("csv", "json"), default=None)
     p_scan.add_argument("--output", default=None)

@@ -1,8 +1,8 @@
 """Window scans over coprime residues and exponential-sum utilities.
 
 A scan walks every r coprime to b with A0*b <= r <= A1*b, evaluates the
-cotangent sum c0(r/b) and the floor-weighted sum Q(r/b) from the shared
-cot table, and accumulates normalized moments:
+cotangent sum c0(r/b) and the floor-weighted sum Q(r/b), and accumulates
+normalized moments:
 
     moments_c0[k] = sum c0(r/b)^k / (b^k  * phi(b)),
     moments_q[k]  = sum  Q(r/b)^k / (b^2k * phi(b)),   k = 1 .. 2*k_max.
@@ -12,6 +12,16 @@ E_k*(A1^{2k+1}-A0^{2k+1}), which is what the moment tests consume.  The
 module also carries the inverse-value approximation q_approx, Kloosterman
 and Ramanujan sums, the inverse-localization count, and the two-sample
 Kolmogorov-Smirnov distance.
+
+Whole-modulus values come from one of two kernels, chosen by the primality
+of b.  At prime p the units are the cyclic group generated by a primitive
+root g; with m = g^i and r = g^j,
+
+    c0(g^j/p) = -(1/p) sum_i (g^i mod p) cot(pi g^(i+j) / p),
+
+a cyclic correlation of length p-1 computed by FFT (Rader, Proc. IEEE 56,
+1968), O(p log p) for all p-1 values together.  At composite b each value
+is O(b) gathers from the cot table.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ __all__ = [
     "mobius",
     "scan",
     "scan_arrays",
+    "batch_c0",
     "batch_c0_vq",
     "window_residues",
     "q_approx",
@@ -57,6 +68,10 @@ def _factorize(n: int) -> dict[int, int]:
     return factors
 
 
+def _is_prime(n: int) -> bool:
+    return _factorize(n) == {n: 1}
+
+
 def euler_phi(b: int) -> int:
     """Euler totient by trial-division factorization."""
     if b < 1:
@@ -76,6 +91,18 @@ def mobius(n: int) -> int:
     return -1 if len(f) % 2 else 1
 
 
+# Largest b whose int64 products r*m (gather kernel) and g^i * g^k (FFT power
+# table) cannot overflow: every factor is below b.
+_B_MAX = math.isqrt(2**63 - 1)
+
+
+def _check_modulus(b: int) -> None:
+    if b < 2:
+        raise ValueError("b >= 2 required")
+    if b > _B_MAX:
+        raise ValueError(f"b <= {_B_MAX} required (int64 residue products overflow above it)")
+
+
 @dataclass(frozen=True)
 class ScanWindow:
     """Residue window r/b in (A0, A1) with 1/2 < A0 < A1 < 1."""
@@ -85,8 +112,7 @@ class ScanWindow:
     a1: float
 
     def __post_init__(self):
-        if self.b < 2:
-            raise ValueError("b >= 2 required")
+        _check_modulus(self.b)
         if not 0.5 < self.a0 < self.a1 < 1.0:
             raise ValueError(f"need 1/2 < A0 < A1 < 1, got ({self.a0}, {self.a1})")
         if math.floor(self.a1 * self.b) < math.ceil(self.a0 * self.b):
@@ -101,88 +127,149 @@ class ScanWindow:
         return math.floor(self.a1 * self.b)
 
 
+def _coprime(lo: int, hi: int, b: int) -> np.ndarray:
+    r = np.arange(lo, hi + 1, dtype=np.int64)
+    return r[np.gcd(r, b) == 1]
+
+
 def window_residues(window: ScanWindow) -> np.ndarray:
     """All r coprime to b in [ceil(A0 b), floor(A1 b)], ascending."""
-    r = np.arange(window.r_lo, window.r_hi + 1, dtype=np.int64)
-    keep = np.fromiter(
-        (math.gcd(int(x), window.b) == 1 for x in r), dtype=bool, count=len(r)
-    )
-    return r[keep]
+    return _coprime(window.r_lo, window.r_hi, window.b)
 
 
-def _block_c0_q(rs: np.ndarray, b: int, table: np.ndarray):
-    # c0(r/b) = -(1/b) sum_m m*T[(m r) mod b];  Q(r/b) = sum_m T[(m r) mod b]*floor(m r / b)
+def _primitive_root(p: int) -> int:
+    # g = 1 generates the trivial group of p = 2; p - 1 is even for every other p
+    n = p - 1
+    qs = list(_factorize(n))
+    g = 1
+    while any(pow(g, n // q, p) == 1 for q in qs):
+        g += 1
+    return g
+
+
+def _powers(g: int, p: int) -> np.ndarray:
+    """g^i mod p for i = 0..p-2, doubling the filled prefix each step."""
+    n = p - 1
+    pw = np.ones(n, dtype=np.int64)
+    k = 1
+    while k < n:
+        step = min(k, n - k)
+        pw[k : k + step] = pw[:step] * pow(g, k, p) % p
+        k += step
+    return pw
+
+
+def _c0_fft(p: int) -> np.ndarray:
+    """c0(r/p) at index r of a length-p array (index 0 unused), p prime.
+
+    One length-(p-1) cyclic correlation of the weights g^i mod p with the
+    cot table read in generator order, scattered back to r = g^j.  The cot
+    sequence is wrapped once and both are zero-padded to a power of two
+    >= 2(p-1) - 1, where the linear correlation equals the cyclic one: p-1
+    often has a large prime factor, which is slow to transform directly.
+    """
+    pw = _powers(_primitive_root(p), p)
+    n = p - 1
+    cots = cot_table(p)[pw]
+    size = 1 << (2 * n - 2).bit_length()
+    spectrum = np.conj(np.fft.rfft(pw.astype(float), size))
+    spectrum *= np.fft.rfft(np.concatenate([cots, cots[: n - 1]]), size)
+    corr = np.fft.irfft(spectrum, size)[:n]
+    out = np.zeros(p)
+    out[pw] = -corr / p
+    return out
+
+
+def _gather(rs: np.ndarray, b: int, threads: int = 1, with_v: bool = False) -> np.ndarray:
+    """Rows c0(r/b), Q(r/b) and, with `with_v`, V(r/b) at residues rs.
+
+    Each value is b-1 lookups in the cot table T:
+        c0(r/b) = -(1/b) sum_m m T[m r mod b],
+        Q(r/b)  =        sum_m T[m r mod b] floor(m r / b),
+        V(r/b)  =  (1/b) sum_m (m r mod b) T[m].
+    Blocks of residues write position-indexed slots, so the result is
+    identical for any thread count.
+    """
+    table = cot_table(b)
     m = np.arange(1, b, dtype=np.int64)
-    prod = rs[:, None] * m[None, :]
-    res = prod % b
-    tc = table[res]
     mfloat = m.astype(float)
-    c0 = -(tc @ mfloat) / b
-    q = np.einsum("ij,ij->i", tc, (prod // b).astype(float))
-    return c0, q
+    out = np.empty((3 if with_v else 2, len(rs)))
+    block = max(1, min(64, 4_000_000 // b))
+
+    def run(lo):
+        hi = lo + block
+        prod = rs[lo:hi, None] * m[None, :]
+        res = prod % b
+        tc = table[res]
+        out[0, lo:hi] = -(tc @ mfloat) / b
+        out[1, lo:hi] = np.einsum("ij,ij->i", tc, (prod // b).astype(float))
+        if with_v:
+            out[2, lo:hi] = (res.astype(float) @ table[1:]) / b
+
+    starts = range(0, len(rs), block)
+    if threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, starts))
+    else:
+        for lo in starts:
+            run(lo)
+    return out
+
+
+def batch_c0(b: int, threads: int = 1):
+    """(r, c0(r/b)) for every r in 1..b-1 coprime to b.
+
+    Prime b takes the multiplicative FFT; composite b gathers from the cot
+    table, spread over `threads` threads.  Either way the values do not
+    depend on the thread count.
+    """
+    _check_modulus(b)
+    rs = _coprime(1, b - 1, b)
+    if _is_prime(b):
+        return rs, _c0_fft(b)[rs]
+    return rs, _gather(rs, b, threads)[0]
 
 
 def scan_arrays(window: ScanWindow, threads: int = 1):
     """Per-residue raw values: (r, c0(r/b), Q(r/b)) over the window.
 
-    Blocks of residues are evaluated against the shared cot table and written
-    into position-indexed output slots, so the result is identical for any
-    thread count.
+    At prime b this is a slice of the whole-modulus FFT, with Q from the
+    decomposition Q(r/b) = c0(1/b) - r c0(r/b); at composite b both sums are
+    gathered for the window's residues only, in `threads` threads.
     """
     b = window.b
     rs = window_residues(window)
-    table = cot_table(b)
-    c0 = np.empty(len(rs))
-    q = np.empty(len(rs))
-    block = max(1, min(64, 4_000_000 // max(b, 1)))
-    spans = [(i, min(i + block, len(rs))) for i in range(0, len(rs), block)]
-
-    def run(span):
-        lo, hi = span
-        c0[lo:hi], q[lo:hi] = _block_c0_q(rs[lo:hi], b, table)
-
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, spans))
-    else:
-        for span in spans:
-            run(span)
+    if _is_prime(b):
+        by_r = _c0_fft(b)
+        c0 = by_r[rs]
+        return rs, c0, by_r[1] - rs * c0
+    c0, q = _gather(rs, b, threads)
     return rs, c0, q
 
 
 def batch_c0_vq(b: int):
-    """(r, c0, V, Q) for every r in 1..b-1 coprime to b, by table lookups.
+    """(r, c0, V, Q) for every r in 1..b-1 coprime to b.
 
-    V here is the inverse-argument sum sum_m {m r / b} cot(pi m / b); the
-    identity suites check it against -c0(r*/b) from the scalar route.
+    c0 takes the route of `batch_c0`: the FFT at prime b, the gather's own c0
+    row at composite b.  V(r/b) = sum_m {m r / b} cot(pi m / b) and Q are
+    always gathered by their own formulas, so at prime b the identity suites
+    compare independent routes: V against -c0(r*/b), Q against the
+    decomposition.
     """
-    if b < 2:
-        raise ValueError("b >= 2 required")
-    r_all = np.arange(1, b, dtype=np.int64)
-    keep = np.fromiter((math.gcd(int(x), b) == 1 for x in r_all), dtype=bool, count=b - 1)
-    rs = r_all[keep]
-    table = cot_table(b)
-    m = np.arange(1, b, dtype=np.int64)
-    mfloat = m.astype(float)
-    t_m = table[1:b]
-    c0 = np.empty(len(rs))
-    v = np.empty(len(rs))
-    q = np.empty(len(rs))
-    block = max(1, 4_000_000 // max(b, 1))
-    for lo in range(0, len(rs), block):
-        sub = rs[lo : lo + block]
-        prod = sub[:, None] * m[None, :]
-        res = prod % b
-        tc = table[res]
-        c0[lo : lo + block] = -(tc @ mfloat) / b
-        q[lo : lo + block] = np.einsum("ij,ij->i", tc, (prod // b).astype(float))
-        v[lo : lo + block] = (res.astype(float) @ t_m) / b
+    _check_modulus(b)
+    rs = _coprime(1, b - 1, b)
+    c0, q, v = _gather(rs, b, with_v=True)
+    if _is_prime(b):
+        c0 = _c0_fft(b)[rs]
     return rs, c0, v, q
 
 
 @dataclass
 class ScanReport:
-    """Normalized window moments plus the empirical CDF of c0(r/b)/b."""
+    """Normalized window moments plus the empirical CDF of c0(r/b)/b.
+
+    `residues` and `c0_values` keep the window's raw values in residue order.
+    """
 
     b: int
     a0: float
@@ -195,6 +282,7 @@ class ScanReport:
     ks_distance: float | None = None
     wall_ms: float = 0.0
     residues: np.ndarray | None = field(default=None, repr=False)
+    c0_values: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.count > self.phi:
@@ -250,6 +338,7 @@ def scan(
         ks_distance=ks,
         wall_ms=wall,
         residues=rs,
+        c0_values=c0,
     )
 
 

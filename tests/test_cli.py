@@ -51,6 +51,11 @@ class TestScanFigure:
             float(v)
         capsys.readouterr()
 
+    @pytest.mark.parametrize("b", ["1", "3037000500"])
+    def test_invalid_modulus_is_usage_error(self, capsys, b):
+        assert run(["scan", "--b", b, "--figure"]) == 2
+        assert capsys.readouterr().err.startswith("error: b ")
+
 
 class TestScanMoments:
     def test_json_report_schema(self, tmp_path, capsys):
@@ -151,33 +156,35 @@ class TestScanMoments:
         capsys.readouterr()
 
     def test_deterministic_runs_are_byte_identical(self, tmp_path, capsys):
-        paths = []
-        for tag, threads in (("a", "1"), ("b", "3")):
-            out = tmp_path / f"{tag}.csv"
-            run(
-                [
-                    "scan",
-                    "--b",
-                    "1009",
-                    "--a0",
-                    "0.6",
-                    "--a1",
-                    "0.8",
-                    "--kmax",
-                    "2",
-                    "--deterministic",
-                    "--threads",
-                    threads,
-                    "--output",
-                    str(out),
-                ]
-            )
-            paths.append(out)
-        capsys.readouterr()
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-        a = (tmp_path / "a.json").read_bytes()
-        b = (tmp_path / "b.json").read_bytes()
-        assert a == b
+        # 1009 takes the FFT route, the composite 3003 the threaded gather route
+        for modulus in ("1009", "3003"):
+            paths = []
+            for tag, threads in (("a", "1"), ("b", "3")):
+                out = tmp_path / f"{tag}{modulus}.csv"
+                run(
+                    [
+                        "scan",
+                        "--b",
+                        modulus,
+                        "--a0",
+                        "0.6",
+                        "--a1",
+                        "0.8",
+                        "--kmax",
+                        "2",
+                        "--deterministic",
+                        "--threads",
+                        threads,
+                        "--output",
+                        str(out),
+                    ]
+                )
+                paths.append(out)
+            capsys.readouterr()
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+            a = (tmp_path / f"a{modulus}.json").read_bytes()
+            b = (tmp_path / f"b{modulus}.json").read_bytes()
+            assert a == b
 
 
 class TestAsymptCommand:

@@ -1,11 +1,14 @@
+import functools
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cotsums import equidist
-from cotsums.core import ReducedFraction, c0, q_sum
+from cotsums.core import ReducedFraction, c0, cot_table, q_sum, vasyunin
 from cotsums.equidist import (
     ExpSumParams,
     ScanReport,
@@ -41,6 +44,13 @@ class TestScanWindow:
         with pytest.raises(ValueError):
             ScanWindow(b, a0, a1)
 
+    def test_rejects_modulus_past_int64_products(self):
+        # checked before any residue array or cot table is allocated
+        misses = cot_table.cache_info().misses
+        with pytest.raises(ValueError, match="int64"):
+            ScanWindow(equidist._B_MAX + 1, 0.6, 0.8)
+        assert cot_table.cache_info().misses == misses
+
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
             ScanWindow(7, 0.55, 0.56)
@@ -50,12 +60,60 @@ class TestScanWindow:
         assert equidist.window_residues(w).tolist() == [7, 11]
 
 
+@functools.lru_cache(maxsize=None)
+def _mp_cot(p):
+    # cot(pi k / p) for k = 0..p-1 in 30 digits; cospi is exactly 0 at k/p = 1/2
+    with mpmath.workdps(30):
+        half = [mpmath.cospi(mpmath.mpf(k) / p) / mpmath.sinpi(mpmath.mpf(k) / p)
+                for k in range(1, p // 2 + 1)]
+    return [mpmath.mpf(0)] + half + [-x for x in reversed(half[: (p - 1) // 2])]
+
+
+def _mp_c0(r, p):
+    with mpmath.workdps(30):
+        cot = _mp_cot(p)
+        return float(-mpmath.fdot((m, cot[m * r % p]) for m in range(1, p)) / p)
+
+
+class TestBatchC0:
+    def _assert_fft_within_bound(self, p, r):
+        rs, c0v = equidist.batch_c0(p)
+        assert rs[r - 1] == r
+        bound = c0(ReducedFraction(r, p)).err_bound
+        assert abs(c0v[r - 1] - _mp_c0(r, p)) <= bound
+
+    @given(st.sampled_from((2, 3, 5, 7, 11, 13, 101, 1009)), st.data())
+    def test_fft_route_within_err_bound(self, p, data):
+        # p = 2 and 3 are the length-1 and length-2 transforms
+        self._assert_fft_within_bound(p, data.draw(st.integers(1, p - 1)))
+
+    @settings(max_examples=4)
+    @given(st.integers(1, 99990))
+    def test_fft_route_within_err_bound_near_1e5(self, r):
+        self._assert_fft_within_bound(99991, r)
+
+    def test_v_column_matches_scalar_vasyunin(self):
+        for r, b in ((3, 7), (5, 97), (7, 100), (45, 101), (700, 1009)):
+            rs, _, vv, _ = equidist.batch_c0_vq(b)
+            want = vasyunin(ReducedFraction(r, b))
+            assert abs(vv[list(rs).index(r)] - want.value) <= 2.0 * want.err_bound
+
+    def test_rejects_modulus_past_int64_products(self):
+        misses = cot_table.cache_info().misses
+        for fn in (equidist.batch_c0, equidist.batch_c0_vq):
+            with pytest.raises(ValueError, match="int64"):
+                fn(equidist._B_MAX + 1)
+        assert cot_table.cache_info().misses == misses
+
+
 class TestScan:
-    def test_matches_scalar_route(self):
-        w = ScanWindow(101, 0.6, 0.8)
+    @pytest.mark.parametrize("b", [101, 105])
+    def test_matches_scalar_route(self, b):
+        # prime b takes the FFT route, composite b the gather route
+        w = ScanWindow(b, 0.6, 0.8)
         rs, c0v, qv = equidist.scan_arrays(w)
         for i, r in enumerate(rs.tolist()):
-            f = ReducedFraction(r, 101)
+            f = ReducedFraction(r, b)
             assert c0v[i] == pytest.approx(c0(f).value, abs=1e-10)
             assert qv[i] == pytest.approx(q_sum(f).value, rel=1e-10)
 
@@ -74,12 +132,15 @@ class TestScan:
         assert scan_reports[10007].moments_q[2] == pytest.approx(0.014196, abs=2e-6)
 
     def test_thread_invariance(self):
-        w = ScanWindow(2003, 0.6, 0.8)
-        a = scan(w, 2, deterministic=True, threads=1)
-        b = scan(w, 2, deterministic=True, threads=4)
-        assert a.moments_c0 == b.moments_c0
-        assert a.moments_q == b.moments_q
-        assert np.array_equal(a.cdf.values, b.cdf.values)
+        # 3003 is composite, so its scan runs the threaded gather route
+        for modulus in (2003, 3003):
+            w = ScanWindow(modulus, 0.6, 0.8)
+            a = scan(w, 2, deterministic=True, threads=1)
+            b = scan(w, 2, deterministic=True, threads=4)
+            assert a.moments_c0 == b.moments_c0
+            assert a.moments_q == b.moments_q
+            assert np.array_equal(a.cdf.values, b.cdf.values)
+            assert np.array_equal(a.c0_values, b.c0_values)
 
     def test_moment_bridge(self):
         # sum c0^2 vs sum (Q/r)^2: equal up to the O(log^2 b / b) cross terms
