@@ -30,9 +30,7 @@ from .asymptotics import (
     c0_asymptotic,
     c1_direct,
     c1_empirical,
-    coeff_E,
     const_D1,
-    const_D2,
     default_b_list,
     euler_maclaurin_sum,
     g_partial,
@@ -89,9 +87,7 @@ __all__ = [
     "c0_asymptotic",
     "c1_direct",
     "c1_empirical",
-    "coeff_E",
     "const_D1",
-    "const_D2",
     "default_b_list",
     "euler_maclaurin_sum",
     "g_partial",

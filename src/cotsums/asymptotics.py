@@ -7,15 +7,13 @@ The expansion implemented by `c0_asymptotic` is
 
 with E_l = (B_{2j}/j) zeta(2j) / pi for odd l = 2j-1 and E_l = 0 for even l.
 The constant term is +1/pi and the E_l above are the coefficients the data
-actually follows (fitting residuals at the 1e-19 level); `coeff_E` keeps the
-alternative closed combination built from the D_{2,nu} constants, which does
-not reduce the residual and is retained for reference with its own anchors.
+actually follows (fitting residuals at the 1e-19 level).
 
 Also here: Bernoulli numbers, a real-argument zeta, the generalized
 Euler-Maclaurin summation with a remainder bound, the partial sums S(L;b) and
-G_L(b) converging to pi*c0(1/b), the constants D1 and D_{2,nu}, the
-partial-fraction function g*, P1 integrals, and the closed-form C1 with its
-empirical cross-check.
+G_L(b) converging to pi*c0(1/b), the constant D1, the partial-fraction
+function g*, P1 integrals, and the closed-form C1 with its empirical
+cross-check.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ReducedFraction, c0, cot_table
+from .equidist import _gather
 
 __all__ = [
     "AsymptoticExpansion",
@@ -40,8 +38,6 @@ __all__ = [
     "s_sum",
     "g_partial",
     "const_D1",
-    "const_D2",
-    "coeff_E",
     "c0_asymptotic",
     "gstar",
     "gstar_integral",
@@ -203,56 +199,6 @@ def const_D1() -> float:
         if inc < 1e-15:
             return total
         nu += 1
-
-
-def const_D2(nu: int) -> float:
-    """D_{2,nu} = sum_{k>=1} k (k^{-nu} - (k+1)^{-nu}), nu >= 2.
-
-    Summed literally to k = 10^4 with compensated accumulation, then closed
-    with the telescoped tail
-        (K+1)^{1-nu} + sum_{k>=K+2} k^{-nu},
-    whose zeta-like piece is evaluated by the same Euler-Maclaurin tail as
-    `zeta_real`.  Numerically equals zeta(nu).
-    """
-    if nu < 2:
-        raise ValueError("nu >= 2 required")
-    cut = 10_000
-    k = np.arange(1, cut + 1, dtype=float)
-    partial = math.fsum((k * (k ** (-float(nu)) - (k + 1.0) ** (-float(nu)))).tolist())
-    m = cut + 2
-    s = float(nu)
-    tail = 0.5 * m ** (-s) + m ** (1.0 - s) / (s - 1.0)
-    poch = s
-    mpow = m ** (-s - 1.0)
-    for j in range(1, 9):
-        tail += bernoulli(2 * j) / math.factorial(2 * j) * poch * mpow
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-        mpow /= m * m
-    return partial + (cut + 1.0) ** (1.0 - s) + tail
-
-
-def coeff_E(l: int, n: int) -> float:
-    """The closed D_{2,l+1} combination for the l-th expansion coefficient.
-
-    E_l = (2/(l+1) - 2) D_{2,l+1}
-          + sum_{j <= (l+1)/2, j <= N} (B_{2j}/j) C(-2j, l+1-2j) D_{2,l+1},
-    N = floor(n/2) + 1, with the generalized binomial
-    C(-2j, m) = (-1)^m C(2j+m-1, m) and signed Bernoulli numbers.
-
-    Note: this combination does *not* match the coefficients the residual
-    data follows (see `c0_asymptotic`); it is kept as specified, pinned by
-    its own regression anchors.
-    """
-    if l < 1 or l > n:
-        raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
-    d = const_D2(l + 1)
-    total = (2.0 / (l + 1) - 2.0) * d
-    n_cap = n // 2 + 1
-    for j in range(1, min((l + 1) // 2, n_cap) + 1):
-        m = l + 1 - 2 * j
-        gen_binom = (-1) ** m * math.comb(2 * j + m - 1, m)
-        total += bernoulli(2 * j) / j * gen_binom * d
-    return total
 
 
 def _true_coeff(l: int) -> float:
@@ -417,13 +363,6 @@ def c1_direct(inp: C1Input) -> float:
     return log_term - rec_term + p1_term - g_term
 
 
-def _c0_fast(r: int, b: int) -> float:
-    # vectorized c0(r/b) for the empirical fits; fixed-shape pairwise reduction
-    t = cot_table(b)
-    m = np.arange(1, b, dtype=np.int64)
-    return -float(t[(m * r) % b] @ (m / b))
-
-
 def default_b_list(r: int, b0: int, bmax: int) -> list[int]:
     """Moduli b == b0 (mod r), coprime to r, with b > 2r, up to bmax.
 
@@ -463,7 +402,7 @@ def c1_empirical(r: int, b0: int, b_list: Sequence[int]) -> tuple[float, float]:
     bf = np.asarray(b_list, dtype=float)
     ys = np.array(
         [
-            _c0_fast(r, b)
+            _gather(np.array([r]), b, 1)[0, 0]
             - bv * math.log(bv) / (math.pi * r)
             + bv * (_LOG2PI - GAMMA) / (math.pi * r)
             for b, bv in zip(b_list, bf)

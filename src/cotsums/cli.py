@@ -17,49 +17,10 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import asymptotics, core, equidist, gseries
-
-VERIFY_SUITES = (
-    "identities",
-    "closed",
-    "asympt",
-    "c1",
-    "gmachinery",
-    "moments",
-    "expsums",
-    "distribution",
-    "determinism",
-)
-
-
-@dataclass
-class RunConfig:
-    """Parsed per-invocation settings, one subcommand's worth."""
-
-    subcommand: str
-    b: int | None = None
-    r: int | None = None
-    b_list: tuple[int, ...] = ()
-    a0: float | None = None
-    a1: float | None = None
-    k_max: int = 3
-    n: int = 0
-    m1: int = 12
-    grid: int = 4001
-    samples: int = 20000
-    output: str | None = None
-    fmt: str | None = None
-    threads: int = 1
-    deterministic: bool = False
-    precision: str = "default"
-    suite: str = "all"
-    bmax: int = 500
-    figure: bool = False
-
 
 def _out_path(name: str | None, default_name: str) -> str:
     base = os.environ.get("COTSUMS_OUTDIR", os.getcwd())
@@ -107,13 +68,13 @@ def report_from_dict(d: dict) -> equidist.ScanReport:
     )
 
 
-def cmd_c0(cfg: RunConfig) -> int:
+def cmd_c0(args: argparse.Namespace) -> int:
     try:
-        frac = core.ReducedFraction(cfg.r, cfg.b)
+        frac = core.ReducedFraction(args.r, args.b)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    oracle = cfg.precision == "oracle"
+    oracle = args.precision == "oracle"
     val = core.c0(frac, oracle=oracle)
     qv = core.q_sum(frac, oracle=oracle)
     vv = core.vasyunin(frac, oracle=oracle)
@@ -126,15 +87,15 @@ def cmd_c0(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    if cfg.figure:
+def cmd_scan(args: argparse.Namespace) -> int:
+    if args.figure:
         try:
-            rs, c0v = equidist.batch_c0(cfg.b, threads=cfg.threads)
+            rs, c0v = equidist.batch_c0(args.b, threads=args.threads)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         rows = [[str(int(r)), _g17(v)] for r, v in zip(rs.tolist(), c0v.tolist())]
-        path = _out_path(cfg.output, f"figure_b{cfg.b}.csv")
+        path = _out_path(args.output, f"figure_b{args.b}.csv")
         try:
             _write_csv(path, ["r", "c0"], rows)
         except OSError as exc:
@@ -143,26 +104,26 @@ def cmd_scan(cfg: RunConfig) -> int:
         print(f"wrote {len(rows)} rows to {path}")
         return 0
 
-    if cfg.a0 is None or cfg.a1 is None:
+    if args.a0 is None or args.a1 is None:
         print("error: moment mode needs --a0 and --a1 (or use --figure)", file=sys.stderr)
         return 2
     try:
-        window = equidist.ScanWindow(cfg.b, cfg.a0, cfg.a1)
+        window = equidist.ScanWindow(args.b, args.a0, args.a1)
         rep = equidist.scan(
-            window, cfg.k_max, threads=cfg.threads, deterministic=cfg.deterministic
+            window, args.kmax, threads=args.threads, deterministic=args.deterministic
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rs, c0v = rep.residues, rep.c0_values
-    csv_path = _out_path(cfg.output, f"scan_b{cfg.b}.csv")
+    csv_path = _out_path(args.output, f"scan_b{args.b}.csv")
     json_path = os.path.splitext(csv_path)[0] + ".json"
     try:
-        if cfg.fmt in (None, "csv"):
+        if args.format in (None, "csv"):
             rows = [[str(int(r)), _g17(v)] for r, v in zip(rs.tolist(), c0v.tolist())]
             _write_csv(csv_path, ["r", "c0"], rows)
             print(f"wrote {len(rs)} rows to {csv_path}")
-        if cfg.fmt in (None, "json"):
+        if args.format in (None, "json"):
             with open(json_path, "w", encoding="utf-8") as fh:
                 json.dump(report_to_dict(rep), fh, indent=2)
                 fh.write("\n")
@@ -173,16 +134,29 @@ def cmd_scan(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_asympt(cfg: RunConfig) -> int:
-    blist = list(cfg.b_list)
-    if not blist or any(y <= x for x, y in zip(blist, blist[1:])):
-        print("error: --b-list must be strictly ascending", file=sys.stderr)
+def cmd_asympt(args: argparse.Namespace) -> int:
+    try:
+        blist = [int(x) for x in args.b_list.split(",")]
+    except ValueError:
+        blist = None
+    if args.n < 0:
+        fault = "--n must be >= 0"
+    elif blist is None:
+        fault = "--b-list must be comma-separated integers"
+    elif min(blist) < 2:
+        fault = "--b-list moduli must be >= 2"
+    elif any(y <= x for x, y in zip(blist, blist[1:])):
+        fault = "--b-list must be strictly ascending"
+    else:
+        fault = None
+    if fault:
+        print(f"error: {fault}", file=sys.stderr)
         return 2
     rows = []
     for b in blist:
         exact = core.c0(core.ReducedFraction(1, b)).value
         try:
-            approx, _ = asymptotics.c0_asymptotic(b, cfg.n)
+            approx, _ = asymptotics.c0_asymptotic(b, args.n)
         except ValueError:
             # below the validity threshold: flagged, not fatal
             rows.append([str(b), _g17(exact), "", "", ""])
@@ -194,10 +168,10 @@ def cmd_asympt(cfg: RunConfig) -> int:
                 _g17(exact),
                 _g17(approx),
                 _g17(residual),
-                _g17(residual * float(b) ** (cfg.n + 1)),
+                _g17(residual * float(b) ** (args.n + 1)),
             ]
         )
-    path = _out_path(cfg.output, f"asympt_n{cfg.n}.csv")
+    path = _out_path(args.output, f"asympt_n{args.n}.csv")
     try:
         _write_csv(path, ["b", "exact", "main", "residual", "scaled_residual"], rows)
     except OSError as exc:
@@ -211,9 +185,9 @@ def cmd_asympt(cfg: RunConfig) -> int:
 # verification suites (numpy-only runtime, deterministic)
 
 
-def _suite_identities(cfg: RunConfig):
+def _suite_identities(args: argparse.Namespace):
     worst = 0.0
-    for b in range(2, cfg.bmax + 1):
+    for b in range(2, args.bmax + 1):
         rs, c0v, vv, qv = equidist.batch_c0_vq(b)
         pos = np.full(b, -1, dtype=np.int64)
         pos[rs] = np.arange(len(rs))
@@ -226,10 +200,10 @@ def _suite_identities(cfg: RunConfig):
             float(np.max(np.abs(c0v - (c0_one - qv) / rs) / denom)),
         )
         worst = max(worst, float(np.max(np.abs(c0v[pos[(b - rs) % b]] + c0v) / denom)))
-    return worst < 1e-6, worst, f"b <= {cfg.bmax}, V/decomposition/oddness"
+    return worst < 1e-6, worst, f"b <= {args.bmax}, V/decomposition/oddness"
 
 
-def _suite_closed(cfg: RunConfig):
+def _suite_closed(args: argparse.Namespace):
     worst = 0.0
     ok = core.c0(core.ReducedFraction(1, 2)).value == 0.0
     worst = max(worst, abs(core.c0(core.ReducedFraction(1, 3)).value - math.sqrt(3) / 9))
@@ -241,7 +215,7 @@ def _suite_closed(cfg: RunConfig):
     return ok and worst < 1e-12, worst, "c0(1/2), c0(1/3), Q(1/b) b <= 1000"
 
 
-def _suite_asympt(cfg: RunConfig):
+def _suite_asympt(args: argparse.Namespace):
     bs = [200, 400, 800, 1600, 3200]
     exact = {b: core.c0(core.ReducedFraction(1, b)).value for b in bs}
     scaled = {}
@@ -256,7 +230,7 @@ def _suite_asympt(cfg: RunConfig):
     return ok, var0 - 1.0, f"n=0 variation {var0:.6f}, n=1 gain {reduction:.1e}"
 
 
-def _suite_c1(cfg: RunConfig):
+def _suite_c1(args: argparse.Namespace):
     worst = 0.0
     ok = True
     for r, b0 in ((2, 1), (3, 1)):
@@ -272,8 +246,8 @@ def _suite_c1(cfg: RunConfig):
     return ok, worst, "pairs (2,1), (3,1) vs direct; r=1 slope"
 
 
-def _suite_gmachinery(cfg: RunConfig):
-    t = gseries.TruncatedGSeries(cfg.m1)
+def _suite_gmachinery(args: argparse.Namespace):
+    t = gseries.TruncatedGSeries(args.m1)
     rng = np.random.default_rng(1009)
     worst = 0.0
     ok = True
@@ -312,7 +286,7 @@ def _suite_gmachinery(cfg: RunConfig):
     parseval_rel = abs(mass - grid_mass) / grid_mass
     ok = ok and parseval_rel < 1e-3
     # moment table structure
-    tbl = gseries.hk_table(4, t, cfg.grid)
+    tbl = gseries.hk_table(4, t, args.grid)
     ok = ok and tbl.hk[0] == 1.0 and tbl.d2k[0] == 1.0
     ok = ok and abs(tbl.hk[1] - 0.1389) < 4e-3
     roots = gseries.hk_growth_check(tbl)
@@ -328,11 +302,11 @@ def _suite_gmachinery(cfg: RunConfig):
     return ok, max(l2, parseval_rel), f"L2 {l2:.4f}, Parseval rel {parseval_rel:.2e}"
 
 
-def _suite_moments(cfg: RunConfig):
-    tbl = gseries.hk_table(2, gseries.TruncatedGSeries(cfg.m1), cfg.grid)
+def _suite_moments(args: argparse.Namespace):
+    tbl = gseries.hk_table(2, gseries.TruncatedGSeries(args.m1), args.grid)
     h1 = tbl.hk[1]
     d2 = tbl.d2k[1]
-    window = equidist.ScanWindow(cfg.b, 0.6, 0.8)
+    window = equidist.ScanWindow(args.b, 0.6, 0.8)
     rep = equidist.scan(window, 3, deterministic=True)
     m2_rel = abs(rep.moments_c0[2] - h1 * 0.2) / (h1 * 0.2)
     e1 = d2 / (3.0 * math.pi**2)
@@ -340,11 +314,10 @@ def _suite_moments(cfg: RunConfig):
     q2_rel = abs(rep.moments_q[2] - q2_target) / q2_target
     ok = m2_rel < 0.15 and q2_rel < 0.15
     # moment bridge: second moments of c0 and Q/r agree to O(log^2 b / b)
-    rs, c0v, qv = equidist.scan_arrays(window)
-    s_c0 = float(np.sum(c0v**2))
-    s_qr = float(np.sum((qv / rs) ** 2))
+    s_c0 = float(np.sum(rep.c0_values**2))
+    s_qr = float(np.sum((rep.q_values / rep.residues) ** 2))
     bridge_rel = abs(s_c0 - s_qr) / s_c0
-    ok = ok and bridge_rel < math.log(cfg.b) ** 2 / cfg.b
+    ok = ok and bridge_rel < math.log(args.b) ** 2 / args.b
     # two-route H1: c0-based and Q-based must agree
     h1_c0 = rep.moments_c0[2] / 0.2
     h1_q = 3.0 * rep.moments_q[2] / (0.8**3 - 0.6**3)
@@ -366,7 +339,7 @@ def _suite_moments(cfg: RunConfig):
     )
 
 
-def _suite_expsums(cfg: RunConfig):
+def _suite_expsums(args: argparse.Namespace):
     ok = True
     worst = 0.0
     ns = np.arange(-100, 101, dtype=np.int64)
@@ -394,9 +367,9 @@ def _suite_expsums(cfg: RunConfig):
     return ok, worst, "ramanujan brute force, Weil, K(0,0,b), symmetry"
 
 
-def _suite_distribution(cfg: RunConfig):
-    ref = gseries.empirical_F(gseries.TruncatedGSeries(cfg.m1), cfg.samples)
-    tol = 2.0 / math.sqrt(cfg.samples)
+def _suite_distribution(args: argparse.Namespace):
+    ref = gseries.empirical_F(gseries.TruncatedGSeries(args.m1), args.samples)
+    tol = 2.0 / math.sqrt(args.samples)
     ok = abs(ref.median()) < tol
     z = np.linspace(-1.5, 1.5, 41)
     sym = float(np.max(np.abs((1.0 - ref.cdf(-z + 1e-12)) - ref.cdf(z))))
@@ -409,7 +382,7 @@ def _suite_distribution(cfg: RunConfig):
     return ok, max(sym, ks[1]), f"symmetry {sym:.2e}, KS {ks[0]:.3f} -> {ks[1]:.3f}"
 
 
-def _suite_determinism(cfg: RunConfig):
+def _suite_determinism(args: argparse.Namespace):
     window = equidist.ScanWindow(1009, 0.6, 0.8)
     rep1 = equidist.scan(window, 2, deterministic=True, threads=1)
     rep2 = equidist.scan(window, 2, deterministic=True, threads=4)
@@ -432,14 +405,19 @@ _SUITE_FUNCS = {
     "distribution": _suite_distribution,
     "determinism": _suite_determinism,
 }
+VERIFY_SUITES = tuple(_SUITE_FUNCS)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    names = VERIFY_SUITES if cfg.suite == "all" else (cfg.suite,)
+def cmd_verify(args: argparse.Namespace) -> int:
+    names = VERIFY_SUITES if args.suite == "all" else (args.suite,)
     failures = 0
     for name in names:
         tic = time.perf_counter()
-        passed, worst, detail = _SUITE_FUNCS[name](cfg)
+        try:
+            passed, worst, detail = _SUITE_FUNCS[name](args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         ms = (time.perf_counter() - tic) * 1e3
         status = "PASS" if passed else "FAIL"
         print(f"{name}: {status} (worst residual {worst:.3g}; {detail}) [{ms:.0f} ms]")
@@ -491,43 +469,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.command)
-    if args.command == "c0":
-        cfg.r, cfg.b, cfg.precision = args.r, args.b, args.precision
-    elif args.command == "scan":
-        cfg.b, cfg.figure = args.b, args.figure
-        cfg.a0, cfg.a1, cfg.k_max = args.a0, args.a1, args.kmax
-        cfg.threads, cfg.deterministic = args.threads, args.deterministic
-        cfg.fmt, cfg.output = args.format, args.output
-    elif args.command == "asympt":
-        cfg.n = args.n
-        try:
-            cfg.b_list = tuple(int(x) for x in args.b_list.split(","))
-        except ValueError:
-            cfg.b_list = ()
-        cfg.output = args.output
-    elif args.command == "verify":
-        cfg.suite, cfg.bmax, cfg.b = args.suite, args.bmax, args.b
-        cfg.m1, cfg.grid, cfg.samples = args.m1, args.grid, args.samples
-        cfg.deterministic = True
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    cfg = _config_from_args(args)
     handler = {
         "c0": cmd_c0,
         "scan": cmd_scan,
         "asympt": cmd_asympt,
         "verify": cmd_verify,
     }[args.command]
-    return handler(cfg)
+    return handler(args)
 
 
 if __name__ == "__main__":

@@ -180,8 +180,8 @@ def _c0_fft(p: int) -> np.ndarray:
     return out
 
 
-def _gather(rs: np.ndarray, b: int, threads: int = 1, with_v: bool = False) -> np.ndarray:
-    """Rows c0(r/b), Q(r/b) and, with `with_v`, V(r/b) at residues rs.
+def _gather(rs: np.ndarray, b: int, rows: int, threads: int = 1) -> np.ndarray:
+    """The first `rows` of c0(r/b), Q(r/b), V(r/b) at residues rs.
 
     Each value is b-1 lookups in the cot table T:
         c0(r/b) = -(1/b) sum_m m T[m r mod b],
@@ -193,7 +193,7 @@ def _gather(rs: np.ndarray, b: int, threads: int = 1, with_v: bool = False) -> n
     table = cot_table(b)
     m = np.arange(1, b, dtype=np.int64)
     mfloat = m.astype(float)
-    out = np.empty((3 if with_v else 2, len(rs)))
+    out = np.empty((rows, len(rs)))
     block = max(1, min(64, 4_000_000 // b))
 
     def run(lo):
@@ -202,8 +202,9 @@ def _gather(rs: np.ndarray, b: int, threads: int = 1, with_v: bool = False) -> n
         res = prod % b
         tc = table[res]
         out[0, lo:hi] = -(tc @ mfloat) / b
-        out[1, lo:hi] = np.einsum("ij,ij->i", tc, (prod // b).astype(float))
-        if with_v:
+        if rows > 1:
+            out[1, lo:hi] = np.einsum("ij,ij->i", tc, (prod // b).astype(float))
+        if rows > 2:
             out[2, lo:hi] = (res.astype(float) @ table[1:]) / b
 
     starts = range(0, len(rs), block)
@@ -227,7 +228,7 @@ def batch_c0(b: int, threads: int = 1):
     rs = _coprime(1, b - 1, b)
     if _is_prime(b):
         return rs, _c0_fft(b)[rs]
-    return rs, _gather(rs, b, threads)[0]
+    return rs, _gather(rs, b, 1, threads)[0]
 
 
 def scan_arrays(window: ScanWindow, threads: int = 1):
@@ -243,7 +244,7 @@ def scan_arrays(window: ScanWindow, threads: int = 1):
         by_r = _c0_fft(b)
         c0 = by_r[rs]
         return rs, c0, by_r[1] - rs * c0
-    c0, q = _gather(rs, b, threads)
+    c0, q = _gather(rs, b, 2, threads)
     return rs, c0, q
 
 
@@ -258,7 +259,7 @@ def batch_c0_vq(b: int):
     """
     _check_modulus(b)
     rs = _coprime(1, b - 1, b)
-    c0, q, v = _gather(rs, b, with_v=True)
+    c0, q, v = _gather(rs, b, 3)
     if _is_prime(b):
         c0 = _c0_fft(b)[rs]
     return rs, c0, v, q
@@ -268,7 +269,8 @@ def batch_c0_vq(b: int):
 class ScanReport:
     """Normalized window moments plus the empirical CDF of c0(r/b)/b.
 
-    `residues` and `c0_values` keep the window's raw values in residue order.
+    `residues`, `c0_values` and `q_values` keep the window's raw values in
+    residue order.
     """
 
     b: int
@@ -283,6 +285,7 @@ class ScanReport:
     wall_ms: float = 0.0
     residues: np.ndarray | None = field(default=None, repr=False)
     c0_values: np.ndarray | None = field(default=None, repr=False)
+    q_values: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.count > self.phi:
@@ -339,6 +342,7 @@ def scan(
         wall_ms=wall,
         residues=rs,
         c0_values=c0,
+        q_values=q,
     )
 
 

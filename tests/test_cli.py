@@ -225,6 +225,14 @@ class TestAsymptCommand:
     def test_rejects_unordered_moduli(self, capsys):
         assert run(["asympt", "--n", "0", "--b-list", "9,7"]) == 2
         assert "ascending" in capsys.readouterr().err
+        # out-of-range moduli, a negative order and non-integers name their fault
+        for n, blist, fault in (
+            ("0", "1,5", ">= 2"),
+            ("-1", "100,200", "--n"),
+            ("0", "abc", "integers"),
+        ):
+            assert run(["asympt", "--n", n, "--b-list", blist]) == 2
+            assert fault in capsys.readouterr().err
 
     def test_write_failure_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -264,3 +272,18 @@ class TestVerifyCommand:
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert run([]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "moments", "--b", "1"],
+            ["--suite", "gmachinery", "--m1", "0"],
+            ["--suite", "moments", "--grid", "0"],
+            ["--suite", "distribution", "--samples", "0"],
+        ],
+    )
+    def test_out_of_range_argument_is_usage_error(self, capsys, argv):
+        assert run(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "FAIL" not in captured.out
