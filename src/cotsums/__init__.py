@@ -1,8 +1,8 @@
 """Finite cotangent sums c0(r/b): exact evaluation, asymptotic expansion,
 the sawtooth limit profile, and equidistribution scans.
 
-The package has four layers. `core` evaluates the sums themselves with
-compensated summation and paired error bounds. `asymptotics` carries the
+The package has four layers. `core` evaluates the sums themselves by one
+direct-sum kernel with paired error bounds. `asymptotics` carries the
 b -> infinity expansion of c0(1/b), the secondary coefficient C1(r, b0)
 by quadrature and by empirical fit, and the Euler-Maclaurin machinery
 both rest on. `gseries` handles the limit profile g(alpha): truncated

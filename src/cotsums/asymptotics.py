@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .equidist import _gather
+from .core import ReducedFraction, c0
 
 __all__ = [
     "AsymptoticExpansion",
@@ -402,7 +402,7 @@ def c1_empirical(r: int, b0: int, b_list: Sequence[int]) -> tuple[float, float]:
     bf = np.asarray(b_list, dtype=float)
     ys = np.array(
         [
-            _gather(np.array([r]), b, 1)[0, 0]
+            c0(ReducedFraction(r, b)).value
             - bv * math.log(bv) / (math.pi * r)
             + bv * (_LOG2PI - GAMMA) / (math.pi * r)
             for b, bv in zip(b_list, bf)

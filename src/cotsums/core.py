@@ -3,13 +3,16 @@
 c0(r/b) = -sum_{m=1}^{b-1} (m/b) cot(pi m r / b) for gcd(r, b) = 1, together
 with the Vasyunin sum V, the floor-weighted sum Q, the Estermann value at the
 origin, and two identity checks (a fractional-part identity and the
-reciprocity defect).  Everything here is scalar and deterministic; the bulk
-scanning machinery lives in `cotsums.equidist`.
+reciprocity defect).  c0, Q and V come from one direct-sum kernel,
+`direct_sums`, at one residue or at an array of them (`cotsums.equidist`);
+it uses no BLAS, and a value is the same bit for bit whatever batch or
+thread count computes it (same machine and numpy build).
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,6 +25,7 @@ __all__ = [
     "c0",
     "vasyunin",
     "q_sum",
+    "direct_sums",
     "estermann_at_zero",
     "fractional_identity_check",
     "reciprocity_defect",
@@ -53,7 +57,7 @@ class ReducedFraction:
 
 @dataclass(frozen=True)
 class SumValue:
-    """A compensated-summation result with a rounding-error estimate."""
+    """A direct-sum value with a rounding-error estimate and its term count."""
 
     value: float
     err_bound: float
@@ -95,68 +99,107 @@ def cot_table(b: int) -> np.ndarray:
     return t
 
 
-def _compensated(terms) -> tuple[float, float, int]:
-    # Kahan-Babuska (Neumaier) running sum; returns (sum, max|term|, count).
-    s = 0.0
-    comp = 0.0
-    biggest = 0.0
-    n = 0
-    for x in terms:
-        n += 1
-        ax = abs(x)
-        if ax > biggest:
-            biggest = ax
-        t = s + x
-        if abs(s) >= ax:
-            comp += (s - t) + x
-        else:
-            comp += (x - t) + s
-        s = t
-    return s + comp, biggest, n
+# Largest b whose int64 products r*m (direct kernel) and g^i * g^k (the FFT
+# power table in `equidist`) cannot overflow: every factor is below b.
+_B_MAX = math.isqrt(2**63 - 1)
+
+# Cells (residue x m) per kernel block: a few MB of temporaries per worker.
+_CELLS = 1 << 18
 
 
-def _dd_sum(terms) -> float:
-    # Double-double accumulation (error-free TwoSum at every step).
-    hi = 0.0
-    lo = 0.0
-    for x in terms:
-        s = hi + x
-        bv = s - hi
-        err = (hi - (s - bv)) + (x - bv)
-        lo += err
-        hi = s
-        # renormalize
-        s = hi + lo
-        lo = lo - (s - hi)
-        hi = s
-    return hi + lo
+def _check_modulus(b: int) -> None:
+    if b < 2:
+        raise ValueError("b >= 2 required")
+    if b > _B_MAX:
+        raise ValueError(f"b <= {_B_MAX} required (int64 residue products overflow above it)")
 
 
-def _sum_value(gen_factory, oracle: bool) -> SumValue:
-    value, biggest, n = _compensated(gen_factory())
-    if oracle:
-        value = _dd_sum(gen_factory())
-    return SumValue(value=value, err_bound=n * _EPS * biggest, terms=n)
+def _two_sum(a, c):
+    # Knuth's error-free TwoSum: s + e == a + c exactly.
+    s = a + c
+    v = s - a
+    return s, (a - (s - v)) + (c - v)
+
+
+def _two_sum_tree(t: np.ndarray):
+    # Pairwise tree of TwoSums along each row: (root, sum of every error).
+    lo = np.zeros(len(t))
+    while t.shape[1] > 1:
+        even = t.shape[1] & ~1
+        s, e = _two_sum(t[:, 0:even:2], t[:, 1:even:2])
+        lo += np.add.reduce(e, axis=1)
+        t = np.concatenate([s, t[:, even:]], axis=1)
+    return t[:, 0], lo
+
+
+def direct_sums(rs, b: int, rows, threads: int = 1, oracle: bool = False):
+    """The sums `rows` ("c0", "q", "v") at each residue r of `rs`, and max |term|.
+
+    The terms over m = 1..b-1, with T the cot table and m r reduced in int64:
+        c0: -(m/b) T[m r mod b],  q: T[m r mod b] floor(m r / b),  v: ((m r mod b)/b) T[m].
+    m runs in chunks whose bounds depend only on b.  A chunk row is summed
+    pairwise (`np.add.reduce`), or with `oracle` by a pairwise tree of TwoSums
+    plus their summed errors (after Sum2 of Ogita, Rump and Oishi, SIAM J. Sci.
+    Comput. 26, 2005); chunk results are added in m order by TwoSum.  So a
+    value does not depend on the other residues or on `threads`, the number
+    of workers blocks of residues go to.  Both results are (len(rows), len(rs)).
+    """
+    _check_modulus(b)
+    table = cot_table(b)
+    rs = np.asarray(rs, dtype=np.int64)
+    chunk = min(b - 1, _CELLS)
+    block = max(1, min(len(rs), _CELLS // chunk))
+    threads = max(1, threads)
+    # starting from +0.0 makes a sum of -0.0 terms (c0(1/2), Q(1/b)) +0.0
+    hi, lo, biggest = (np.zeros((len(rows), len(rs))) for _ in range(3))
+
+    def work(first, m):
+        # Blocks first, first + threads, ... in one buffer: fresh ones would page-fault.
+        w, tm = np.divide(m, -b), table[m[0] : m[-1] + 1]  # w == -(m/b) exactly
+        buf = np.empty((4, block * len(m)), dtype=np.int64)
+        for start in range(first * block, len(rs), threads * block):
+            sl = slice(start, start + block)
+            r = rs[sl, None]
+            prod, quot, res, t = (x[: len(r) * len(m)].reshape(len(r), len(m)) for x in buf)
+            t = t.view(float)
+            # m r - b floor(m r / b): in numpy faster than a remainder
+            np.floor_divide(np.multiply(r, m, out=prod), b, out=quot)
+            np.subtract(prod, np.multiply(quot, b, out=res), out=res)
+            for i, row in enumerate(rows):
+                if row == "v":
+                    np.multiply(np.divide(res, b, out=t), tm, out=t)
+                else:  # mode="clip", a no-op on these indices, skips a buffered copy
+                    np.take(table, res, out=t, mode="clip")
+                    np.multiply(t, w if row == "c0" else quot, out=t)
+                big = np.maximum(np.abs(t.max(axis=1)), np.abs(t.min(axis=1)))
+                np.maximum(biggest[i, sl], big, out=biggest[i, sl])
+                h, l = _two_sum_tree(t) if oracle else (np.add.reduce(t, axis=1), 0.0)
+                hi[i, sl], e = _two_sum(hi[i, sl], h)
+                lo[i, sl] += l + e
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for m0 in range(1, b, chunk):
+            m = np.arange(m0, min(m0 + chunk, b), dtype=np.int64)
+            if threads > 1:
+                list(pool.map(work, range(threads), [m] * threads))
+            else:
+                work(0, m)
+    return hi + lo, biggest
+
+
+def _one(f: ReducedFraction, row: str, oracle: bool) -> SumValue:
+    [[value]], [[biggest]] = direct_sums([f.r], f.b, (row,), oracle=oracle)
+    return SumValue(float(value), err_bound=(f.b - 1) * _EPS * float(biggest), terms=f.b - 1)
 
 
 def c0(f: ReducedFraction, oracle: bool = False) -> SumValue:
-    """c0(r/b) = -sum_{m=1}^{b-1} (m/b) cot(pi m r / b).
+    """c0(r/b) = -sum_{m=1}^{b-1} (m/b) cot(pi m r / b), `direct_sums` at one r.
 
-    Terms are generated in ascending m; the cotangent argument is reduced in
-    integer arithmetic first (m*r mod b), so no accuracy is lost to large
-    angles.  Pole-adjacent terms reach ~b/pi, which dominates err_bound.
-
-    With oracle=True the same terms are re-accumulated in double-double
-    arithmetic; the default compensated value must agree to ~1e-9 relative.
+    Pole-adjacent terms reach ~b/pi, which dominates err_bound = (b-1) eps
+    max|term|.  oracle=True sums the same terms by error-free TwoSums; the
+    two values must agree to ~1e-9 relative.
     """
-    r, b = f.r, f.b
-    t = cot_table(b).tolist()
-
-    def gen():
-        for m in range(1, b):
-            yield -(m / b) * t[(m * r) % b]
-
-    return _sum_value(gen, oracle)
+    return _one(f, "c0", oracle)
 
 
 def vasyunin(f: ReducedFraction, oracle: bool = False) -> SumValue:
@@ -164,14 +207,7 @@ def vasyunin(f: ReducedFraction, oracle: bool = False) -> SumValue:
 
     Satisfies V(r/b) = -c0(rbar/b) where r*rbar == 1 (mod b).
     """
-    r, b = f.r, f.b
-    t = cot_table(b).tolist()
-
-    def gen():
-        for m in range(1, b):
-            yield ((m * r) % b) / b * t[m]
-
-    return _sum_value(gen, oracle)
+    return _one(f, "v", oracle)
 
 
 def q_sum(f: ReducedFraction, oracle: bool = False) -> SumValue:
@@ -180,15 +216,7 @@ def q_sum(f: ReducedFraction, oracle: bool = False) -> SumValue:
     Links the general value to the r = 1 case:
     c0(r/b) = (1/r) c0(1/b) - (1/r) Q(r/b).
     """
-    r, b = f.r, f.b
-    t = cot_table(b).tolist()
-
-    def gen():
-        for m in range(1, b):
-            mr = m * r
-            yield t[mr % b] * float(mr // b)
-
-    return _sum_value(gen, oracle)
+    return _one(f, "q", oracle)
 
 
 def estermann_at_zero(f: ReducedFraction) -> tuple[float, float]:

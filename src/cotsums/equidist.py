@@ -21,19 +21,18 @@ root g; with m = g^i and r = g^j,
 
 a cyclic correlation of length p-1 computed by FFT (Rader, Proc. IEEE 56,
 1968), O(p log p) for all p-1 values together.  At composite b each value
-is O(b) gathers from the cot table.
+is the direct sum of `core.direct_sums`, O(b) lookups in the cot table.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import cot_table
+from .core import _B_MAX, _check_modulus, cot_table, direct_sums
 from .gseries import EmpiricalCDF, TruncatedGSeries, f_eval
 
 __all__ = [
@@ -89,18 +88,6 @@ def mobius(n: int) -> int:
     if any(e > 1 for e in f.values()):
         return 0
     return -1 if len(f) % 2 else 1
-
-
-# Largest b whose int64 products r*m (gather kernel) and g^i * g^k (FFT power
-# table) cannot overflow: every factor is below b.
-_B_MAX = math.isqrt(2**63 - 1)
-
-
-def _check_modulus(b: int) -> None:
-    if b < 2:
-        raise ValueError("b >= 2 required")
-    if b > _B_MAX:
-        raise ValueError(f"b <= {_B_MAX} required (int64 residue products overflow above it)")
 
 
 @dataclass(frozen=True)
@@ -180,63 +167,25 @@ def _c0_fft(p: int) -> np.ndarray:
     return out
 
 
-def _gather(rs: np.ndarray, b: int, rows: int, threads: int = 1) -> np.ndarray:
-    """The first `rows` of c0(r/b), Q(r/b), V(r/b) at residues rs.
-
-    Each value is b-1 lookups in the cot table T:
-        c0(r/b) = -(1/b) sum_m m T[m r mod b],
-        Q(r/b)  =        sum_m T[m r mod b] floor(m r / b),
-        V(r/b)  =  (1/b) sum_m (m r mod b) T[m].
-    Blocks of residues write position-indexed slots, so the result is
-    identical for any thread count.
-    """
-    table = cot_table(b)
-    m = np.arange(1, b, dtype=np.int64)
-    mfloat = m.astype(float)
-    out = np.empty((rows, len(rs)))
-    block = max(1, min(64, 4_000_000 // b))
-
-    def run(lo):
-        hi = lo + block
-        prod = rs[lo:hi, None] * m[None, :]
-        res = prod % b
-        tc = table[res]
-        out[0, lo:hi] = -(tc @ mfloat) / b
-        if rows > 1:
-            out[1, lo:hi] = np.einsum("ij,ij->i", tc, (prod // b).astype(float))
-        if rows > 2:
-            out[2, lo:hi] = (res.astype(float) @ table[1:]) / b
-
-    starts = range(0, len(rs), block)
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, starts))
-    else:
-        for lo in starts:
-            run(lo)
-    return out
-
-
 def batch_c0(b: int, threads: int = 1):
     """(r, c0(r/b)) for every r in 1..b-1 coprime to b.
 
-    Prime b takes the multiplicative FFT; composite b gathers from the cot
-    table, spread over `threads` threads.  Either way the values do not
-    depend on the thread count.
+    Prime b takes the multiplicative FFT; composite b takes the direct
+    kernel of `core`, spread over `threads` threads.  Either way the values
+    do not depend on the thread count.
     """
     _check_modulus(b)
     rs = _coprime(1, b - 1, b)
     if _is_prime(b):
         return rs, _c0_fft(b)[rs]
-    return rs, _gather(rs, b, 1, threads)[0]
+    return rs, direct_sums(rs, b, ("c0",), threads)[0][0]
 
 
 def scan_arrays(window: ScanWindow, threads: int = 1):
     """Per-residue raw values: (r, c0(r/b), Q(r/b)) over the window.
 
-    At prime b this is a slice of the whole-modulus FFT, with Q from the
-    decomposition Q(r/b) = c0(1/b) - r c0(r/b); at composite b both sums are
-    gathered for the window's residues only, in `threads` threads.
+    Q = c0(1/b) - r c0(r/b).  At prime b c0 is a slice of the whole-modulus
+    FFT; at composite b the direct kernel computes c0 at 1 and the window.
     """
     b = window.b
     rs = window_residues(window)
@@ -244,24 +193,20 @@ def scan_arrays(window: ScanWindow, threads: int = 1):
         by_r = _c0_fft(b)
         c0 = by_r[rs]
         return rs, c0, by_r[1] - rs * c0
-    c0, q = _gather(rs, b, 2, threads)
-    return rs, c0, q
+    c0 = direct_sums(np.concatenate([[1], rs]), b, ("c0",), threads)[0][0]
+    return rs, c0[1:], c0[0] - rs * c0[1:]
 
 
 def batch_c0_vq(b: int):
     """(r, c0, V, Q) for every r in 1..b-1 coprime to b.
 
-    c0 takes the route of `batch_c0`: the FFT at prime b, the gather's own c0
-    row at composite b.  V(r/b) = sum_m {m r / b} cot(pi m / b) and Q are
-    always gathered by their own formulas, so at prime b the identity suites
-    compare independent routes: V against -c0(r*/b), Q against the
-    decomposition.
+    c0 takes the route of `batch_c0`.  V(r/b) = sum_m {m r / b} cot(pi m / b)
+    and Q always come from the direct kernel by their own formulas, so at
+    prime b the identity suites compare independent routes: V against
+    -c0(r*/b), Q against the decomposition.
     """
-    _check_modulus(b)
-    rs = _coprime(1, b - 1, b)
-    c0, q, v = _gather(rs, b, 3)
-    if _is_prime(b):
-        c0 = _c0_fft(b)[rs]
+    rs, c0 = batch_c0(b)
+    q, v = direct_sums(rs, b, ("q", "v"))[0]
     return rs, c0, v, q
 
 

@@ -68,8 +68,9 @@ def test_criterion_03_residual_ladder(capsys):
     variation = max(scaled0) / min(scaled0)
     raw0 = scaled0[-1] / 3200.0
     raw1 = abs(exact[3200] - asymptotics.c0_asymptotic(3200, 1)[0])
-    reduction = raw0 / raw1
-    ok = variation < 3.0 and reduction >= 10.0
+    # raw1 is about 1 ulp of c0(1/3200) and may round to exactly 0
+    reduction = raw0 / raw1 if raw1 else math.inf
+    ok = variation < 3.0 and raw0 >= 10.0 * raw1
     _line(
         capsys,
         3,

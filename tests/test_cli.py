@@ -37,6 +37,10 @@ class TestC0Command:
         assert run(["c0", "--r", "1", "--b", "0"]) == 2
         capsys.readouterr()
 
+    def test_rejects_modulus_past_int64_products(self, capsys):
+        assert run(["c0", "--r", "1", "--b", "3037000500"]) == 2
+        assert "b <= 3037000499 required" in capsys.readouterr().err
+
 
 class TestScanFigure:
     @pytest.mark.parametrize("b,nrows", [(757, 756), (946, 420)])
@@ -280,6 +284,7 @@ class TestVerifyCommand:
             ["--suite", "gmachinery", "--m1", "0"],
             ["--suite", "moments", "--grid", "0"],
             ["--suite", "distribution", "--samples", "0"],
+            ["--suite", "identities", "--bmax", "1"],
         ],
     )
     def test_out_of_range_argument_is_usage_error(self, capsys, argv):

@@ -43,7 +43,9 @@ class TestModInverse:
 
 class TestC0:
     def test_half_is_exactly_zero(self):
-        assert c0(ReducedFraction(1, 2)).value == 0.0
+        for oracle in (False, True):
+            v = c0(ReducedFraction(1, 2), oracle=oracle).value
+            assert v == 0.0 and math.copysign(1.0, v) == 1.0
 
     def test_third(self):
         assert abs(c0(ReducedFraction(1, 3)).value - SQRT3 / 9) < 1e-15
@@ -52,6 +54,13 @@ class TestC0:
         assert c0(ReducedFraction(1, 100)).value == pytest.approx(
             106.77820359792869, abs=1e-10
         )
+
+    def test_rejects_modulus_past_int64_products(self):
+        # checked before the cot table (8 bytes per residue) is built
+        misses = core.cot_table.cache_info().misses
+        with pytest.raises(ValueError, match="int64"):
+            c0(ReducedFraction(1, core._B_MAX + 1))
+        assert core.cot_table.cache_info().misses == misses
 
     def test_err_bound_fields(self):
         v = c0(ReducedFraction(3, 101))
@@ -105,7 +114,9 @@ class TestVasyunin:
 class TestQSum:
     def test_unit_numerator_is_exactly_zero(self):
         for b in range(2, 1001):
-            assert q_sum(ReducedFraction(1, b)).value == 0.0
+            v = q_sum(ReducedFraction(1, b))
+            assert v.value == 0.0 and math.copysign(1.0, v.value) == 1.0
+            assert math.copysign(1.0, v.err_bound) == 1.0
 
     def test_two_thirds(self):
         assert abs(q_sum(ReducedFraction(2, 3)).value - 1.0 / SQRT3) < 1e-14

@@ -98,6 +98,25 @@ class TestBatchC0:
             want = vasyunin(ReducedFraction(r, b))
             assert abs(vv[list(rs).index(r)] - want.value) <= 2.0 * want.err_bound
 
+    @pytest.mark.parametrize("b", [105, 3003])
+    def test_direct_rows_equal_scalar_sums(self, b):
+        # composite b: one kernel serves the batch and the scalar calls
+        rs, c0v, vv, qv = equidist.batch_c0_vq(b)
+        for i, r in enumerate(rs.tolist()):
+            f = ReducedFraction(r, b)
+            assert c0v[i] == c0(f).value
+            assert qv[i] == q_sum(f).value
+            assert vv[i] == vasyunin(f).value
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_scalar_sums_across_chunks_within_err_bound(self, oracle):
+        # b - 1 exceeds one chunk of the direct kernel, so partials are joined
+        p = 262147
+        by_r = equidist._c0_fft(p)
+        for r in (1, 2, 65537, 131073, 262146):
+            want = c0(ReducedFraction(r, p), oracle=oracle)
+            assert abs(want.value - by_r[r]) <= want.err_bound
+
     def test_rejects_modulus_past_int64_products(self):
         misses = cot_table.cache_info().misses
         for fn in (equidist.batch_c0, equidist.batch_c0_vq):
