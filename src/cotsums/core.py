@@ -103,7 +103,7 @@ def cot_table(b: int) -> np.ndarray:
 # power table in `equidist`) cannot overflow: every factor is below b.
 _B_MAX = math.isqrt(2**63 - 1)
 
-# Cells (residue x m) per kernel block: a few MB of temporaries per worker.
+# Cells (residue x m) per kernel block: a few MB of temporaries.
 _CELLS = 1 << 18
 
 
@@ -141,23 +141,30 @@ def direct_sums(rs, b: int, rows, threads: int = 1, oracle: bool = False):
     pairwise (`np.add.reduce`), or with `oracle` by a pairwise tree of TwoSums
     plus their summed errors (after Sum2 of Ogita, Rump and Oishi, SIAM J. Sci.
     Comput. 26, 2005); chunk results are added in m order by TwoSum.  So a
-    value does not depend on the other residues or on `threads`, the number
-    of workers blocks of residues go to.  Both results are (len(rows), len(rs)).
+    value does not depend on the other residues, and `threads` threads each
+    take a slice of `rs` with the same result.  Both are (len(rows), len(rs)).
     """
+    parts = np.array_split(np.asarray(rs, dtype=np.int64), max(1, min(threads, len(rs))))
+    if len(parts) == 1:
+        return _direct_sums(parts[0], b, rows, oracle)
+    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+        done = list(pool.map(lambda part: _direct_sums(part, b, rows, oracle), parts))
+    return tuple(np.concatenate(out, axis=1) for out in zip(*done))
+
+
+def _direct_sums(rs: np.ndarray, b: int, rows, oracle: bool):
     _check_modulus(b)
     table = cot_table(b)
-    rs = np.asarray(rs, dtype=np.int64)
     chunk = min(b - 1, _CELLS)
     block = max(1, min(len(rs), _CELLS // chunk))
-    threads = max(1, threads)
     # starting from +0.0 makes a sum of -0.0 terms (c0(1/2), Q(1/b)) +0.0
     hi, lo, biggest = (np.zeros((len(rows), len(rs))) for _ in range(3))
-
-    def work(first, m):
-        # Blocks first, first + threads, ... in one buffer: fresh ones would page-fault.
-        w, tm = np.divide(m, -b), table[m[0] : m[-1] + 1]  # w == -(m/b) exactly
-        buf = np.empty((4, block * len(m)), dtype=np.int64)
-        for start in range(first * block, len(rs), threads * block):
+    # One buffer for every block: fresh block-sized temporaries would page-fault.
+    buf = np.empty((4, block * chunk), dtype=np.int64)
+    for m0 in range(1, b, chunk):
+        m = np.arange(m0, min(m0 + chunk, b), dtype=np.int64)
+        w, tm = np.divide(m, -b), table[m0 : m0 + len(m)]  # w == -(m/b) exactly
+        for start in range(0, len(rs), block):
             sl = slice(start, start + block)
             r = rs[sl, None]
             prod, quot, res, t = (x[: len(r) * len(m)].reshape(len(r), len(m)) for x in buf)
@@ -176,19 +183,11 @@ def direct_sums(rs, b: int, rows, threads: int = 1, oracle: bool = False):
                 h, l = _two_sum_tree(t) if oracle else (np.add.reduce(t, axis=1), 0.0)
                 hi[i, sl], e = _two_sum(hi[i, sl], h)
                 lo[i, sl] += l + e
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for m0 in range(1, b, chunk):
-            m = np.arange(m0, min(m0 + chunk, b), dtype=np.int64)
-            if threads > 1:
-                list(pool.map(work, range(threads), [m] * threads))
-            else:
-                work(0, m)
     return hi + lo, biggest
 
 
 def _one(f: ReducedFraction, row: str, oracle: bool) -> SumValue:
-    [[value]], [[biggest]] = direct_sums([f.r], f.b, (row,), oracle=oracle)
+    [[value]], [[biggest]] = _direct_sums(np.array([f.r]), f.b, (row,), oracle)
     return SumValue(float(value), err_bound=(f.b - 1) * _EPS * float(biggest), terms=f.b - 1)
 
 

@@ -171,8 +171,8 @@ def batch_c0(b: int, threads: int = 1):
     """(r, c0(r/b)) for every r in 1..b-1 coprime to b.
 
     Prime b takes the multiplicative FFT; composite b takes the direct
-    kernel of `core`, spread over `threads` threads.  Either way the values
-    do not depend on the thread count.
+    kernel of `core`, with the residues split over `threads` threads.
+    Either way the values do not depend on the thread count.
     """
     _check_modulus(b)
     rs = _coprime(1, b - 1, b)
@@ -185,7 +185,8 @@ def scan_arrays(window: ScanWindow, threads: int = 1):
     """Per-residue raw values: (r, c0(r/b), Q(r/b)) over the window.
 
     Q = c0(1/b) - r c0(r/b).  At prime b c0 is a slice of the whole-modulus
-    FFT; at composite b the direct kernel computes c0 at 1 and the window.
+    FFT; at composite b the direct kernel computes c0 at 1 and the window
+    on `threads` threads.
     """
     b = window.b
     rs = window_residues(window)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cotsums import equidist
-from cotsums.core import ReducedFraction, c0, cot_table, q_sum, vasyunin
+from cotsums.core import ReducedFraction, c0, cot_table, direct_sums, q_sum, vasyunin
 from cotsums.equidist import (
     ExpSumParams,
     ScanReport,
@@ -109,6 +109,16 @@ class TestBatchC0:
             assert vv[i] == vasyunin(f).value
 
     @pytest.mark.parametrize("oracle", [False, True])
+    def test_direct_sums_thread_invariant(self, oracle):
+        # each thread takes a slice of the residues; no value may move
+        b = 3003
+        rs = [r for r in range(1, b) if math.gcd(r, b) == 1]
+        one = direct_sums(rs, b, ("c0", "q", "v"), 1, oracle)
+        for threads in (2, 3, 7):
+            many = direct_sums(rs, b, ("c0", "q", "v"), threads, oracle)
+            assert all(np.array_equal(x, y) for x, y in zip(one, many))
+
+    @pytest.mark.parametrize("oracle", [False, True])
     def test_scalar_sums_across_chunks_within_err_bound(self, oracle):
         # b - 1 exceeds one chunk of the direct kernel, so partials are joined
         p = 262147
@@ -128,13 +138,24 @@ class TestBatchC0:
 class TestScan:
     @pytest.mark.parametrize("b", [101, 105])
     def test_matches_scalar_route(self, b):
-        # prime b takes the FFT route, composite b the gather route
+        # prime b takes the FFT route, composite b the direct kernel
         w = ScanWindow(b, 0.6, 0.8)
         rs, c0v, qv = equidist.scan_arrays(w)
         for i, r in enumerate(rs.tolist()):
             f = ReducedFraction(r, b)
             assert c0v[i] == pytest.approx(c0(f).value, abs=1e-10)
             assert qv[i] == pytest.approx(q_sum(f).value, rel=1e-10)
+
+    def test_composite_decomposition_q_within_err_bound(self):
+        # At composite b the scan takes Q = c0(1/b) - r c0(r/b), which cancels
+        # when |Q| is large; hold it to q_sum's own formula and bound.
+        b = 30030
+        rs, _, qv = equidist.scan_arrays(ScanWindow(b, 0.6, 0.8))
+        picks = {0, len(rs) // 2, len(rs) - 1, int(np.argmax(np.abs(qv)))}
+        picks.add(int(np.searchsorted(rs, 23929)))
+        for i in sorted(picks):
+            s = q_sum(ReducedFraction(int(rs[i]), b))
+            assert abs(qv[i] - s.value) <= s.err_bound
 
     def test_report_shape(self, scan_reports):
         rep = scan_reports[1009]
@@ -151,7 +172,7 @@ class TestScan:
         assert scan_reports[10007].moments_q[2] == pytest.approx(0.014196, abs=2e-6)
 
     def test_thread_invariance(self):
-        # 3003 is composite, so its scan runs the threaded gather route
+        # 3003 is composite, so its scan runs the direct kernel
         for modulus in (2003, 3003):
             w = ScanWindow(modulus, 0.6, 0.8)
             a = scan(w, 2, deterministic=True, threads=1)
