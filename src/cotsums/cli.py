@@ -307,10 +307,10 @@ def _suite_gmachinery(args: argparse.Namespace):
 
 
 def _suite_moments(args: argparse.Namespace):
+    window = equidist.ScanWindow(args.b, 0.6, 0.8)
     tbl = gseries.hk_table(2, gseries.TruncatedGSeries(args.m1), args.grid)
     h1 = tbl.hk[1]
     d2 = tbl.d2k[1]
-    window = equidist.ScanWindow(args.b, 0.6, 0.8)
     rep = equidist.scan(window, 3, deterministic=True)
     m2_rel = abs(rep.moments_c0[2] - h1 * 0.2) / (h1 * 0.2)
     e1 = d2 / (3.0 * math.pi**2)

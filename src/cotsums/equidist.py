@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import _B_MAX, _check_modulus, cot_table, direct_sums
-from .gseries import EmpiricalCDF, TruncatedGSeries, f_eval
+from .gseries import EmpiricalCDF, TruncatedGSeries
 
 __all__ = [
     "ScanWindow",

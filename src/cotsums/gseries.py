@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -58,38 +59,40 @@ class TruncatedGSeries:
         return 1 << self.m1
 
 
-def _sawtooth(u: np.ndarray) -> np.ndarray:
-    # B(u) = 1 - 2{u}, zero at integers.
-    frac = u - np.floor(u)
-    out = 1.0 - 2.0 * frac
-    out[frac == 0.0] = 0.0
-    return out
-
-
 def f_eval(alpha: float, t: TruncatedGSeries) -> float:
     """f(alpha; m1) = sum_{l <= 2^m1} B(l*alpha)/l."""
-    total = 0.0
-    chunk = 1 << 20
-    for lo in range(1, t.terms + 1, chunk):
-        l = np.arange(lo, min(lo + chunk, t.terms + 1), dtype=float)
-        total += float(_sawtooth(l * alpha) @ (1.0 / l))
-    return total
+    return float(_f_points(np.array([alpha]), t.m1)[0])
 
 
 def _f_points(alphas: np.ndarray, m1: int) -> np.ndarray:
-    """f(alpha_i; m1) for an arbitrary batch of points, chunked over l."""
-    t = TruncatedGSeries(m1)
-    out = np.zeros(len(alphas), dtype=float)
+    """f(alpha_i; m1) at a batch of points: the one evaluator of the series.
+
+    Points x terms run in L2-sized tiles of at most 2^16 cells, min(2^m1, 2^12)
+    terms wide, through two reused buffers; B(u) = ceil({u}) - 2{u}.  Each
+    tile row is summed by `np.add.reduce` and the chunks are added in l order,
+    so a point's value is the same bit for bit alone or in any batch.
+    """
+    terms = TruncatedGSeries(m1).terms
     alphas = np.asarray(alphas, dtype=float)
-    budget = 8_000_000
-    lchunk = max(1, budget // max(len(alphas), 1))
-    for lo in range(1, t.terms + 1, lchunk):
-        l = np.arange(lo, min(lo + lchunk, t.terms + 1), dtype=float)
-        u = np.outer(alphas, l)
-        frac = u - np.floor(u)
-        w = 1.0 - 2.0 * frac
-        w[frac == 0.0] = 0.0
-        out += w @ (1.0 / l)
+    n = len(alphas)
+    out = np.zeros(n)
+    width = min(terms, 1 << 12)
+    height = max(1, min(n, (1 << 16) // width))
+    u, w = np.empty((2, height, width))
+    for lo in range(1, terms + 1, width):
+        l = np.arange(lo, lo + width, dtype=float)
+        inv = 1.0 / l
+        for p in range(0, n, height):
+            a = alphas[p : p + height, None]
+            ut, wt = u[: len(a)], w[: len(a)]
+            np.multiply(a, l, out=ut)
+            np.floor(ut, out=wt)
+            np.subtract(ut, wt, out=ut)
+            np.ceil(ut, out=wt)
+            np.add(ut, ut, out=ut)
+            np.subtract(wt, ut, out=wt)
+            np.multiply(wt, inv, out=wt)
+            out[p : p + len(a)] += np.add.reduce(wt, axis=1)
     return out
 
 
@@ -103,7 +106,7 @@ def _f_offset_grid(n: int, c: float, m1: int) -> np.ndarray:
 
     so the grid values need one totals-by-residue pass over l plus an O(n^2)
     modular matmul and per-residue sorted-threshold counts, instead of the
-    O(n * L) direct sweep.  Falls back to the direct sweep when L is small.
+    O(n * L) direct sweep.  Falls back to `_f_points` when L <= 4n.
     The binned path assumes no l*alpha_j hits an integer exactly (offsets
     drawn away from rationals guarantee that); agreement with `f_eval` is
     pinned by tests.
@@ -155,22 +158,24 @@ def _fourier_offset_grid(n: int, c: float, M: int) -> np.ndarray:
     """
     if n < 1 or M < 1:
         raise ValueError("n >= 1 and M >= 1 required")
-    tau = _tau(M)
     k = np.arange(1, M + 1, dtype=float)
-    coeff = (FOURIER_CONSTANT * tau[1:] / k) * np.exp(2j * np.pi * (k * (c / n) % 1.0))
+    coeff = (FOURIER_CONSTANT * _tau(M)[1:] / k) * np.exp(2j * np.pi * (k * (c / n) % 1.0))
     bins = np.arange(1, M + 1, dtype=np.int64) % n
-    folded = np.bincount(bins, weights=coeff.real, minlength=n) + 1j * np.bincount(
-        bins, weights=coeff.imag, minlength=n
-    )
+    folded = np.bincount(bins, coeff.real, n) + 1j * np.bincount(bins, coeff.imag, n)
     return np.fft.ifft(folded).imag * n
 
 
 @lru_cache(maxsize=8)
-def _tau(limit: int) -> np.ndarray:
-    # divisor counts 1..limit by the linear sieve; index 0 unused
+def _tau(limit: int, cap: int | None = None) -> np.ndarray:
+    # counts of the divisors <= cap of 1..limit, index 0 unused: one slice per
+    # divisor up to isqrt(limit), then one per cofactor j of the larger ones
+    cap = limit if cap is None else cap
+    s = math.isqrt(limit)
     d = np.zeros(limit + 1, dtype=np.int64)
-    for l in range(1, limit + 1):
+    for l in range(1, min(s, cap) + 1):
         d[l::l] += 1
+    for j in range(1, limit // (s + 1) + 1):
+        d[j * (s + 1) : j * cap + 1 : j] += 1
     d.flags.writeable = False
     return d
 
@@ -198,9 +203,8 @@ def g_fourier_eval(alpha: float, M: int) -> float:
         return 0.0
     if alpha > 0.5:
         return -g_fourier_eval(1.0 - alpha, M)
-    tau = _tau(M)
     l = np.arange(1, M + 1, dtype=float)
-    weights = FOURIER_CONSTANT * tau[1:] / l
+    weights = FOURIER_CONSTANT * _tau(M)[1:] / l
     return float(_folded_sin(l * alpha) @ weights)
 
 
@@ -214,11 +218,8 @@ def fourier_coeffs_f(t: TruncatedGSeries, K: int) -> np.ndarray:
     """
     if K < 1:
         raise ValueError("K >= 1 required")
-    d = np.zeros(K + 1, dtype=np.int64)
-    for l in range(1, min(t.terms, K) + 1):
-        d[l::l] += 1
     k = np.arange(1, K + 1, dtype=float)
-    return (2.0 / math.pi) * d[1:] / k
+    return (2.0 / math.pi) * _tau(K, t.terms)[1:] / k
 
 
 @dataclass
@@ -244,7 +245,9 @@ def cf_expand(alpha: float, max_terms: int) -> ContinuedFraction:
 
     Stops after max_terms quotients or when the remainder underflows
     (rationals terminate; the tail of a float expansion beyond ~15 quotients
-    reflects the float, not the intended real).
+    reflects the float, not the intended real).  A remainder above 1 - 1e-9
+    snaps up, so a run a, 1, q with q >~ 1e9 folds into a + 1: the float of
+    [0; 2, 1, 10^10] expands to [3], terminated.  Use `cf_from_quotients` for such runs.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
@@ -293,8 +296,6 @@ def cf_from_quotients(quotients: list[int]) -> ContinuedFraction:
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         convergents.append((p_cur, q_cur))
-    from fractions import Fraction
-
     return ContinuedFraction(float(Fraction(p_cur, q_cur)), list(quotients), convergents, False)
 
 
@@ -392,9 +393,7 @@ def hk_table(k_max: int, t: TruncatedGSeries, grid: int) -> MomentTable:
     hk, d2k, odd = _moment_row(grid, t.m1, k_max)
     hk_half, _, _ = _moment_row(grid // 2 + 1, t.m1, k_max)
     hk_low, _, _ = _moment_row(grid, max(2, t.m1 - 2), k_max)
-    errors = {0: 0.0}
-    for k in range(1, k_max + 1):
-        errors[k] = abs(hk[k] - hk_half[k]) + abs(hk[k] - hk_low[k])
+    errors = {k: abs(hk[k] - hk_half[k]) + abs(hk[k] - hk_low[k]) for k in range(k_max + 1)}
     return MomentTable(k_max=k_max, hk=hk, d2k=d2k, errors=errors, odd=odd)
 
 

@@ -292,3 +292,11 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "FAIL" not in captured.out
+
+    def test_bad_modulus_exits_before_moment_table(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("hk_table built before --b was checked")
+
+        monkeypatch.setattr(cli.gseries, "hk_table", unreachable)
+        assert run(["verify", "--suite", "moments", "--b", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

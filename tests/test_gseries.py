@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,6 +52,46 @@ class TestFEval:
             [f_eval(((j + c) / n) % 1.0, TruncatedGSeries(m1)) for j in range(n)]
         )
         assert np.max(np.abs(fast - direct)) < 1e-9
+
+
+class TestSeriesKernel:
+    def test_point_alone_equals_batch(self):
+        # 40 points at m1 = 14 span three tiles and four term chunks
+        alphas = (np.arange(1, 41, dtype=float) * gseries._GOLDEN) % 1.0
+        batch = gseries._f_points(alphas, 14)
+        alone = [gseries._f_points(alphas[i : i + 1], 14)[0] for i in range(40)]
+        assert np.array_equal(batch, alone)
+
+    def test_scalar_route_is_the_kernel(self):
+        t = TruncatedGSeries(14)
+        for x in (0.1, 0.375, gseries._GOLDEN):
+            assert f_eval(x, t) == gseries._f_points(np.array([x]), 14)[0]
+
+    def test_against_exact_sum(self):
+        # x = N / 2^k exactly, so {l x} = (l N mod 2^k) / 2^k and
+        # f = sum_l (2^k - 2 (l N mod 2^k)) / (2^k l), zero terms at integers
+        terms = 1 << 12
+        lcm = math.lcm(*range(1, terms + 1))
+        # points far from low-denominator rationals: near l*x = integer the
+        # rounded float phase fl(l*x) may land on the other side of the jump
+        for x in (math.sqrt(2.0) - 1.0, gseries._GOLDEN, math.pi - 3.0, math.e - 2.0, 0.7071):
+            num, den = Fraction(x).as_integer_ratio()
+            total = 0
+            for l in range(1, terms + 1):
+                r = l * num % den
+                if r:
+                    total += (den - 2 * r) * (lcm // l)
+            exact = Fraction(total, den * lcm)
+            assert abs(Fraction(f_eval(x, TruncatedGSeries(12))) - exact) <= 1e-13
+
+
+class TestDivisorSieve:
+    @pytest.mark.parametrize("limit", [1, 2, 3, 48, 49, 50, 1000])
+    def test_matches_brute_force(self, limit):
+        for cap in (None, 1, 7, math.isqrt(limit), limit):
+            top = limit if cap is None else cap
+            brute = [sum(k % l == 0 for l in range(1, min(k, top) + 1)) for k in range(1, limit + 1)]
+            assert np.array_equal(gseries._tau(limit, cap)[1:], brute)
 
 
 class TestFourierEvaluator:
@@ -119,6 +160,14 @@ class TestContinuedFraction:
 
     def test_three_eighths(self):
         assert cf_expand(0.375, 10).partial_quotients == [2, 1, 2]
+
+    def test_huge_quotient_run_snaps(self):
+        # the float of [0; 2, 1, 10^10]: the run 2, 1, 10^10 folds into 3
+        x = float(1 / (2 + 1 / (1 + Fraction(1, 10**10))))
+        cf = cf_expand(x, 10)
+        assert cf.partial_quotients == [3]
+        assert cf.terminated
+        assert cf_from_quotients([2, 1, 10**10]).convergents[-1] == (10**10 + 1, 3 * 10**10 + 2)
 
     def test_golden_quotients(self):
         cf = cf_expand((math.sqrt(5.0) - 1.0) / 2.0, 20)
