@@ -236,10 +236,7 @@ class ScanReport:
     def __post_init__(self):
         if self.count > self.phi:
             raise ValueError("window count exceeds phi(b)")
-        for k, v in self.moments_c0.items():
-            if k % 2 == 0 and v < 0.0:
-                raise ValueError("even normalized moment must be nonnegative")
-        for k, v in self.moments_q.items():
+        for k, v in [*self.moments_c0.items(), *self.moments_q.items()]:
             if k % 2 == 0 and v < 0.0:
                 raise ValueError("even normalized moment must be nonnegative")
 
@@ -384,12 +381,8 @@ def inverse_localization_count(
 def ks_distance(a: EmpiricalCDF, b_cdf: EmpiricalCDF) -> float:
     """Two-sample sup distance, checked on both sides of every jump."""
     xs = np.concatenate([a.values, b_cdf.values])
-    d_right = np.abs(
-        np.searchsorted(a.values, xs, side="right") / a.count
-        - np.searchsorted(b_cdf.values, xs, side="right") / b_cdf.count
+    gaps = (
+        np.searchsorted(a.values, xs, side) / a.count - np.searchsorted(b_cdf.values, xs, side) / b_cdf.count
+        for side in ("right", "left")
     )
-    d_left = np.abs(
-        np.searchsorted(a.values, xs, side="left") / a.count
-        - np.searchsorted(b_cdf.values, xs, side="left") / b_cdf.count
-    )
-    return float(max(d_right.max(), d_left.max()))
+    return float(max(np.abs(g).max() for g in gaps))

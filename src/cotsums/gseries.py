@@ -99,17 +99,18 @@ def _f_points(alphas: np.ndarray, m1: int) -> np.ndarray:
 def _f_offset_grid(n: int, c: float, m1: int) -> np.ndarray:
     """f at the uniform offset grid alpha_j = ((j + c)/n) mod 1, j = 0..n-1.
 
-    For L = 2^m1 well above n this uses a residue-binned evaluation: with
-    l = a (mod n) and h_l = (l*c) mod n,
-
-        {l alpha_j} = ((l*j mod n) + h_l  mod n) / n,
-
-    so the grid values need one totals-by-residue pass over l plus an O(n^2)
-    modular matmul and per-residue sorted-threshold counts, instead of the
-    O(n * L) direct sweep.  Falls back to `_f_points` when L <= 4n.
-    The binned path assumes no l*alpha_j hits an integer exactly (offsets
-    drawn away from rationals guarantee that); agreement with `f_eval` is
-    pinned by tests.
+    For L = 2^m1 > 4n, a residue-paired block kernel.  With l = t*n + a,
+    h_l = (l*c) mod n and r = (a*j) mod n, {l alpha_j} = (r + h_l)/n - [r >= m_l]
+    where m_l = n - floor(h_l), so f_j = H_L - (2/n) sum_l h_l/l + sum_a G_a[r],
+    G_a[r] = sum_{l in class a} (2[r >= m_l] - 2r/n)/l; residue 0 adds only
+    constants.  As (n-a)*j = -a*j mod n, classes a and n - a share one table
+    G_a[r] + G_{n-a}[-r] from one `bincount` difference array and one `cumsum`
+    (n/2 of even n pairs with itself).  Blocks of 2^16 // n pairs (about 2^16
+    cells) are gathered at r, which a uint32 add and an unsigned-wrap `minimum`
+    advance with no integer modulo: O(n^2 + L), no sort.  At L <= 4n the dense
+    `_f_points` sweep runs; the switch is conservative (on 2 vCPUs the kernel ran
+    1.2-1.6x faster already at L = 2n).  No l*alpha_j may be an integer
+    (offsets away from rationals); tests pin agreement with `_f_points`.
     """
     if n < 1:
         raise ValueError("grid size must be positive")
@@ -117,35 +118,36 @@ def _f_offset_grid(n: int, c: float, m1: int) -> np.ndarray:
     if big_l <= 4 * n:
         return _f_points(((np.arange(n) + c) / n) % 1.0, m1)
 
-    l = np.arange(1, big_l + 1, dtype=np.int64)
-    inv = 1.0 / l
-    a = (l % n).astype(np.int64)
-    h = (l.astype(float) * c) % n
-
-    harmonic = math.fsum(inv.tolist())
-    h_over_l = float(h @ inv)
-    class_w = np.bincount(a, weights=inv, minlength=n)
-
-    # per-residue h values sorted, with suffix sums of 1/l
-    order = np.lexsort((h, a))
-    a_s, h_s, inv_s = a[order], h[order], inv[order]
-    starts = np.searchsorted(a_s, np.arange(n), side="left")
-    ends = np.searchsorted(a_s, np.arange(n), side="right")
-    suffix = np.concatenate([np.cumsum(inv_s[::-1])[::-1], [0.0]])
-
-    jj = np.arange(n, dtype=np.int64)
-    linear = np.zeros(n)
-    jam = np.empty(n, dtype=np.int64)
-    indicator = np.zeros(n)
-    for res in range(n):
-        np.multiply(jj, res, out=jam)
-        jam %= n
-        if class_w[res] != 0.0:
-            linear += class_w[res] * jam
-            lo, hi = starts[res], ends[res]
-            idx = lo + np.searchsorted(h_s[lo:hi], (n - jam).astype(float), side="left")
-            indicator += suffix[idx] - suffix[hi]
-    return harmonic - (2.0 / n) * (linear + h_over_l) + 2.0 * indicator
+    rows = big_l // n + 1
+    l = np.arange(rows * n, dtype=float)
+    h = (l * (c % n)) % n  # l*c >= 0 keeps h in [0, n), also for c < 0
+    inv = np.zeros(rows * n)
+    inv[1 : big_l + 1] = 1.0 / l[1 : big_l + 1]
+    out = np.full(n, np.sum(inv) - (2.0 / n) * float(h @ inv))  # inv is 0 off l = 1..L
+    # l = t*n + a sits at [t, a]; pair p joins class a = p + 1 with class n - a
+    pairs = n // 2
+    width = max(1, min(pairs, (1 << 16) // n))
+    fl, w2 = np.floor(h).astype(np.int64).reshape(rows, n), 2.0 * inv.reshape(rows, n)
+    lo, hi = slice(1, pairs + 1), slice(n - 1, n - pairs - 1, -1)
+    keys = np.concatenate([n - fl[:, lo], fl[:, hi] + 1]).T.copy()
+    keys += (np.arange(pairs) % width * (n + 1))[:, None]
+    wts = np.concatenate([w2[:, lo], -w2[:, hi]]).T.copy()
+    wts[pairs - 1 :, rows:] *= n % 2  # class n/2 of even n pairs with itself
+    slope = -wts.sum(axis=1) / n
+    j, k = np.arange(n), np.arange(width)[:, None]
+    r = ((k + 1) * j % n).astype(np.uint32)
+    step, base = (width * j % n).astype(np.uint32), (k * (n + 1)).astype(np.uint32)
+    idx, spare, vals = np.empty_like(r), np.empty_like(r), np.empty(r.shape)
+    for p in range(0, pairs, width):
+        q = min(p + width, pairs)
+        table = np.bincount(keys[p:q].ravel(), wts[p:q].ravel(), width * (n + 1)).reshape(width, n + 1)
+        table[: q - p, 1:] += slope[p:q, None]
+        np.cumsum(table, axis=1, out=table)
+        np.add(r, base, out=idx)
+        out += np.add.reduce(np.take(table, idx, out=vals, mode="clip"), axis=0)
+        r += step
+        np.minimum(r, np.subtract(r, n, out=spare), out=r)
+    return out
 
 
 def _fourier_offset_grid(n: int, c: float, M: int) -> np.ndarray:
@@ -158,8 +160,8 @@ def _fourier_offset_grid(n: int, c: float, M: int) -> np.ndarray:
     """
     if n < 1 or M < 1:
         raise ValueError("n >= 1 and M >= 1 required")
-    k = np.arange(1, M + 1, dtype=float)
-    coeff = (FOURIER_CONSTANT * _tau(M)[1:] / k) * np.exp(2j * np.pi * (k * (c / n) % 1.0))
+    k, weights = _fourier_weights(M)
+    coeff = weights * np.exp(2j * np.pi * (k * (c / n) % 1.0))
     bins = np.arange(1, M + 1, dtype=np.int64) % n
     folded = np.bincount(bins, coeff.real, n) + 1j * np.bincount(bins, coeff.imag, n)
     return np.fft.ifft(folded).imag * n
@@ -178,6 +180,15 @@ def _tau(limit: int, cap: int | None = None) -> np.ndarray:
         d[j * (s + 1) : j * cap + 1 : j] += 1
     d.flags.writeable = False
     return d
+
+
+@lru_cache(maxsize=8)
+def _fourier_weights(M: int) -> tuple[np.ndarray, np.ndarray]:
+    # read-only (l, FOURIER_CONSTANT * tau(l)/l), l = 1..M, for both Fourier routes
+    l = np.arange(1, M + 1, dtype=float)
+    weights = FOURIER_CONSTANT * _tau(M)[1:] / l
+    l.flags.writeable = weights.flags.writeable = False
+    return l, weights
 
 
 def _folded_sin(u: np.ndarray) -> np.ndarray:
@@ -203,8 +214,7 @@ def g_fourier_eval(alpha: float, M: int) -> float:
         return 0.0
     if alpha > 0.5:
         return -g_fourier_eval(1.0 - alpha, M)
-    l = np.arange(1, M + 1, dtype=float)
-    weights = FOURIER_CONSTANT * _tau(M)[1:] / l
+    l, weights = _fourier_weights(M)
     return float(_folded_sin(l * alpha) @ weights)
 
 
@@ -430,11 +440,7 @@ class EmpiricalCDF:
         return np.searchsorted(self.values, z, side="right") / self.count
 
     def median(self) -> float:
-        n = self.count
-        mid = self.values[n // 2]
-        if n % 2 == 0:
-            mid = 0.5 * (mid + self.values[n // 2 - 1])
-        return float(mid)
+        return float(np.median(self.values))
 
     def max_jump(self) -> float:
         _, counts = np.unique(self.values, return_counts=True)

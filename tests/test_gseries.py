@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from cotsums import gseries
 from cotsums.gseries import (
+    FOURIER_CONSTANT,
     ContinuedFraction,
     TruncatedGSeries,
     cf_expand,
@@ -52,6 +53,49 @@ class TestFEval:
             [f_eval(((j + c) / n) % 1.0, TruncatedGSeries(m1)) for j in range(n)]
         )
         assert np.max(np.abs(fast - direct)) < 1e-9
+
+
+def _dense_grid(n, c, m1):
+    return gseries._f_points(((np.arange(n) + c) / n) % 1.0, m1)
+
+
+def _no_dense_sweep(alphas, m1):
+    raise AssertionError("dense sweep ran")
+
+
+class TestBinnedKernel:
+    # n = 2 and 4 pair the class n/2 with itself, n = 1 has no pair at all;
+    # at n = 997 and 1000 the 2^16 // n = 65 pairs per block leave a partial
+    # last block (498 and 500 pairs), at n = 210 one block holds all 105
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 210, 997, 1000])
+    def test_matches_dense_sweep(self, n, monkeypatch):
+        m1 = (4 * n).bit_length()  # smallest L = 2^m1 above the 4n switch
+        c = 0.5 + math.modf(n * gseries._GOLDEN)[0]
+        dense = _dense_grid(n, c, m1)
+        monkeypatch.setattr(gseries, "_f_points", _no_dense_sweep)
+        binned = gseries._f_offset_grid(n, c, m1)
+        assert np.max(np.abs(binned - dense)) < 1e-9
+
+    def test_negative_offset(self):
+        # (l*c) mod n for c < 0 may round up to n; the kernel reduces c first
+        n, m1 = 1000, 12
+        assert np.max(np.abs(gseries._f_offset_grid(n, -0.3, m1) - _dense_grid(n, -0.3, m1))) < 1e-9
+        assert np.isfinite(gseries._f_offset_grid(n, -1e-20, m1)).all()
+
+    def test_route_switch_at_four_terms_per_point(self, monkeypatch):
+        monkeypatch.setattr(gseries, "_f_points", _no_dense_sweep)
+        assert gseries._f_offset_grid(1023, 0.37, 12).shape == (1023,)
+        with pytest.raises(AssertionError, match="dense sweep ran"):
+            gseries._f_offset_grid(1024, 0.37, 12)
+
+    def test_moment_row_matches_dense_sweep(self):
+        # hk_table's full row at grid 1201, m1 = 13 is binned (8192 > 4 * 1201)
+        grid, m1 = 1201, 13
+        table = hk_table(6, TruncatedGSeries(m1), grid)
+        y = _dense_grid(grid, 0.5 + math.modf(grid * gseries._GOLDEN)[0], m1) / math.pi
+        for k in range(1, 7):
+            want = float(np.mean(y ** (2 * k)))
+            assert abs(table.hk[k] - want) <= 1e-12 * want
 
 
 class TestSeriesKernel:
@@ -123,6 +167,12 @@ class TestFourierEvaluator:
         fs = gseries._f_points(alphas, 18)
         gs = np.array([g_fourier_eval(float(a), 1 << 18) for a in alphas])
         assert math.sqrt(float(np.mean((fs - gs) ** 2))) < 0.04
+
+    def test_weights_cached_read_only(self):
+        l, weights = gseries._fourier_weights(96)
+        assert gseries._fourier_weights(96)[1] is weights
+        assert not l.flags.writeable and not weights.flags.writeable
+        assert np.array_equal(weights, FOURIER_CONSTANT * gseries._tau(96)[1:] / np.arange(1, 97))
 
     def test_grid_helper_matches_scalar(self):
         n, c = 997, 0.371
