@@ -452,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=os.cpu_count() or 1,
-        help="threads for the direct kernel at composite b (prime b uses one FFT)",
+        help="accepted for compatibility; no effect (every b uses one whole-modulus FFT)",
     )
     p_scan.add_argument("--deterministic", action="store_true")
     p_scan.add_argument("--format", choices=("csv", "json"), default=None)

@@ -13,15 +13,20 @@ module also carries the inverse-value approximation q_approx, Kloosterman
 and Ramanujan sums, the inverse-localization count, and the two-sample
 Kolmogorov-Smirnov distance.
 
-Whole-modulus values come from one of two kernels, chosen by the primality
-of b.  At prime p the units are the cyclic group generated by a primitive
-root g; with m = g^i and r = g^j,
+Whole-modulus values come from one kernel for every b, `_c0_fft`, and
+scans and `batch_c0` slice its table.  Grouping the terms m by e = b/gcd(m, b)
+splits c0(r/b) into one sum per divisor e > 1 of b, each over the unit group
+(Z/e)^*.  Indexing the units by exponents of one generator per cyclic factor
+(the prime-factor index map of Good, 1958) turns that sum, for all r at
+once, into one correlation computed by FFT.  At prime p the group is cyclic,
+generated by a primitive root g; with m = g^i and r = g^j,
 
     c0(g^j/p) = -(1/p) sum_i (g^i mod p) cot(pi g^(i+j) / p),
 
-a cyclic correlation of length p-1 computed by FFT (Rader, Proc. IEEE 56,
-1968), O(p log p) for all p-1 values together.  At composite b each value
-is the direct sum of `core.direct_sums`, O(b) lookups in the cot table.
+a cyclic correlation of length p-1 (Rader, Proc. IEEE 56, 1968),
+O(p log p) for all p-1 values together.  `core.direct_sums` gives V and Q
+by their own formulas (`batch_c0_vq`), so identity checks compare
+independent routes.  The `threads` arguments are accepted and have no effect.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,10 +71,6 @@ def _factorize(n: int) -> dict[int, int]:
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
     return factors
-
-
-def _is_prime(n: int) -> bool:
-    return _factorize(n) == {n: 1}
 
 
 def euler_phi(b: int) -> int:
@@ -125,86 +127,160 @@ def window_residues(window: ScanWindow) -> np.ndarray:
 
 
 def _primitive_root(p: int) -> int:
-    # g = 1 generates the trivial group of p = 2; p - 1 is even for every other p
+    """The least primitive root mod the odd prime p."""
     n = p - 1
     qs = list(_factorize(n))
-    g = 1
+    g = 2
     while any(pow(g, n // q, p) == 1 for q in qs):
         g += 1
     return g
 
 
-def _powers(g: int, p: int) -> np.ndarray:
-    """g^i mod p for i = 0..p-2, doubling the filled prefix each step."""
-    n = p - 1
+def _prime_power_root(p: int, k: int) -> int:
+    """A generator of (Z/p^k)^* for odd p: the least primitive root g mod p,
+    or g + p when k >= 2 and g^(p-1) = 1 mod p^2 (then g has order only p-1
+    mod p^2, while g + p has order p(p-1) and so generates every p^k)."""
+    g = _primitive_root(p)
+    return g + p if k >= 2 and pow(g, p - 1, p * p) == 1 else g
+
+
+def _unit_axes(e: int) -> list[tuple[int, int]]:
+    """(generator, order) of each cyclic factor of the unit group (Z/e)^*.
+
+    Per prime power q = p^k of e: one axis for odd p; none for 2; the element
+    -1 for 4; -1 and 5 for 2^k, k >= 3.  Each generator is lifted by CRT to
+    be 1 mod e/q, so a product of generator powers runs over every unit once
+    (the prime-factor index map of Good, J. R. Stat. Soc. B 20, 1958).
+    """
+    axes = []
+    for p, k in _factorize(e).items():
+        q = p**k
+        if p > 2:
+            gens = [(_prime_power_root(p, k), q - q // p)]
+        else:
+            gens = ([(q - 1, 2)] if k >= 2 else []) + ([(5, q // 4)] if k >= 3 else [])
+        rest = e // q
+        axes += [(1 + rest * ((g - 1) * pow(rest, -1, q) % q), n) for g, n in gens]
+    return axes
+
+
+def _powers(g: int, e: int, n: int) -> np.ndarray:
+    """g^i mod e for i = 0..n-1, doubling the filled prefix each step."""
     pw = np.ones(n, dtype=np.int64)
     k = 1
     while k < n:
         step = min(k, n - k)
-        pw[k : k + step] = pw[:step] * pow(g, k, p) % p
+        pw[k : k + step] = pw[:step] * pow(g, k, e) % e
         k += step
     return pw
 
 
-def _c0_fft(p: int) -> np.ndarray:
-    """c0(r/p) at index r of a length-p array (index 0 unused), p prime.
+def _c0_star(e: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every unit u mod e, and c0*(u; e) = -(1/e) sum_m m cot(pi m u / e) at each.
 
-    One length-(p-1) cyclic correlation of the weights g^i mod p with the
-    cot table read in generator order, scattered back to r = g^j.  The cot
-    sequence is wrapped once and both are zero-padded to a power of two
-    >= 2(p-1) - 1, where the linear correlation equals the cyclic one: p-1
-    often has a large prime factor, which is slow to transform directly.
+    m runs over the units in 1..e-1.  With units indexed by their exponent
+    vectors (`_unit_axes`), the sum is a correlation on the unit group of
+    the weights m with the cot table read in index order.  For a cyclic
+    group of order n the cot sequence is wrapped once and both are
+    zero-padded to a power of two >= 2n - 1, where the linear correlation
+    equals the cyclic one: n = p - 1 often has a large prime factor, which
+    is slow to transform directly.  A group with several axes is transformed
+    at its exact shape; padding every axis costs more than it saves.
     """
-    pw = _powers(_primitive_root(p), p)
-    n = p - 1
-    cots = cot_table(p)[pw]
-    size = 1 << (2 * n - 2).bit_length()
-    spectrum = np.conj(np.fft.rfft(pw.astype(float), size))
-    spectrum *= np.fft.rfft(np.concatenate([cots, cots[: n - 1]]), size)
-    corr = np.fft.irfft(spectrum, size)[:n]
-    out = np.zeros(p)
-    out[pw] = -corr / p
+    units = np.ones((), dtype=np.int64)
+    for g, n in _unit_axes(e):
+        units = np.multiply.outer(units, _powers(g, e, n)) % e
+    if units.ndim <= 1:
+        pw = units.reshape(-1)
+        n = len(pw)
+        cots = cot_table(e)[pw]
+        size = 1 << (2 * n - 2).bit_length()
+        spectrum = np.conj(np.fft.rfft(pw.astype(float), size))
+        spectrum *= np.fft.rfft(np.concatenate([cots, cots[: n - 1]]), size)
+        corr = np.fft.irfft(spectrum, size)[:n]
+    else:
+        axes = tuple(range(units.ndim))
+        spectrum = np.conj(np.fft.rfftn(units.astype(float), axes=axes))
+        spectrum *= np.fft.rfftn(cot_table(e)[units], axes=axes)
+        corr = np.fft.irfftn(spectrum, units.shape, axes=axes).reshape(-1)
+    return units.reshape(-1), -corr / e
+
+
+def _part(e: int) -> np.ndarray:
+    """c0*(u; e) at index u of a length-e array (0 at the non-units)."""
+    part = np.zeros(e)
+    units, values = _c0_star(e)
+    part[units] = values
+    return part
+
+
+# Divisor tables up to this size are kept, read-only, about 66 kB in all: a
+# run over many moduli (the identity suites) meets them at every multiple.
+_SMALL_PART = 128
+
+
+@lru_cache(maxsize=None)
+def _small_part(e: int) -> np.ndarray:
+    part = _part(e)
+    part.flags.writeable = False
+    return part
+
+
+def _c0_fft(b: int) -> np.ndarray:
+    """c0(r/b) at index r of a length-b array, for every b >= 2 (0 where gcd(r, b) > 1).
+
+    Write d = gcd(m, b) and e = b/d: the term of m is -(1/e) m' cot(pi m' r/e)
+    with m = d m' and m' a unit mod e, so
+
+        c0(r/b) = sum over divisors e > 1 of b of c0*(r mod e; e),
+
+    one unit-group correlation per divisor (`_c0_star`).  At prime b the
+    group is cyclic and the sum has one term: the Rader correlation.
+    """
+    units, acc = _c0_star(b)
+    divisors = [1]
+    for p, k in _factorize(b).items():
+        divisors = [d * p**j for d in divisors for j in range(k + 1)]
+    # e = 2 adds c0*(1; 2) = -cot(pi/2)/2 = 0
+    for e in sorted(divisors)[:-1]:
+        if e > 2:
+            part = _small_part(e) if e <= _SMALL_PART else _part(e)
+            acc += part[units % e]
+    out = np.zeros(b)
+    out[units] = acc
     return out
 
 
 def batch_c0(b: int, threads: int = 1):
-    """(r, c0(r/b)) for every r in 1..b-1 coprime to b.
+    """(r, c0(r/b)) for every r in 1..b-1 coprime to b: a slice of `_c0_fft(b)`.
 
-    Prime b takes the multiplicative FFT; composite b takes the direct
-    kernel of `core`, with the residues split over `threads` threads.
-    Either way the values do not depend on the thread count.
+    `threads` is accepted for compatibility and has no effect.
     """
     _check_modulus(b)
     rs = _coprime(1, b - 1, b)
-    if _is_prime(b):
-        return rs, _c0_fft(b)[rs]
-    return rs, direct_sums(rs, b, ("c0",), threads)[0][0]
+    return rs, _c0_fft(b)[rs]
 
 
 def scan_arrays(window: ScanWindow, threads: int = 1):
     """Per-residue raw values: (r, c0(r/b), Q(r/b)) over the window.
 
-    Q = c0(1/b) - r c0(r/b).  At prime b c0 is a slice of the whole-modulus
-    FFT; at composite b the direct kernel computes c0 at 1 and the window
-    on `threads` threads.
+    c0 is a slice of the whole-modulus table `_c0_fft(b)`, and
+    Q = c0(1/b) - r c0(r/b) comes from the same table.  `threads` is
+    accepted for compatibility and has no effect.
     """
-    b = window.b
     rs = window_residues(window)
-    if _is_prime(b):
-        by_r = _c0_fft(b)
-        c0 = by_r[rs]
-        return rs, c0, by_r[1] - rs * c0
-    c0 = direct_sums(np.concatenate([[1], rs]), b, ("c0",), threads)[0][0]
-    return rs, c0[1:], c0[0] - rs * c0[1:]
+    by_r = _c0_fft(window.b)
+    c0 = by_r[rs]
+    return rs, c0, by_r[1] - rs * c0
 
 
 def batch_c0_vq(b: int):
     """(r, c0, V, Q) for every r in 1..b-1 coprime to b.
 
-    c0 takes the route of `batch_c0`.  V(r/b) = sum_m {m r / b} cot(pi m / b)
-    and Q always come from the direct kernel by their own formulas, so at
-    prime b the identity suites compare independent routes: V against
-    -c0(r*/b), Q against the decomposition.
+    c0 is the table of `batch_c0`.  V(r/b) = sum_m {m r / b} cot(pi m / b)
+    and Q come from the direct kernel by their own formulas, so at every b
+    the identity suites compare independent routes: V against -c0(r*/b),
+    Q against the decomposition.
     """
     rs, c0 = batch_c0(b)
     q, v = direct_sums(rs, b, ("q", "v"))[0]

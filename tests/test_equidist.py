@@ -100,11 +100,12 @@ class TestBatchC0:
 
     @pytest.mark.parametrize("b", [105, 3003])
     def test_direct_rows_equal_scalar_sums(self, b):
-        # composite b: one kernel serves the batch and the scalar calls
-        rs, c0v, vv, qv = equidist.batch_c0_vq(b)
+        # one direct kernel serves the V and Q columns, a batch c0 and the scalar calls
+        rs, _, vv, qv = equidist.batch_c0_vq(b)
+        [c0d], _ = direct_sums(rs, b, ("c0",))
         for i, r in enumerate(rs.tolist()):
             f = ReducedFraction(r, b)
-            assert c0v[i] == c0(f).value
+            assert c0d[i] == c0(f).value
             assert qv[i] == q_sum(f).value
             assert vv[i] == vasyunin(f).value
 
@@ -135,10 +136,71 @@ class TestBatchC0:
         assert cot_table.cache_info().misses == misses
 
 
+class TestUnitGroupFFT:
+    """`_c0_fft` at composite b: a divisor split, one unit-group correlation each."""
+
+    # One modulus per shape of the unit group: b = 2 mod 4 (the factor 2 has
+    # no axis), 4*odd (the axis -1), 2^k and 8*odd (-1 and 5), odd prime
+    # powers (one lifted generator).
+    @pytest.mark.parametrize("b", [486, 30030, 420, 4096, 360, 2187, 1331])
+    def test_composite_within_err_bound(self, b):
+        by_r = equidist._c0_fft(b)
+        rs = equidist._coprime(1, b - 1, b)
+        if len(rs) > 200:
+            rs = rs[np.linspace(0, len(rs) - 1, 8).astype(int)]
+        for r in rs.tolist():
+            bound = c0(ReducedFraction(r, b)).err_bound
+            assert abs(by_r[r] - _mp_c0(r, b)) <= bound, r
+
+    def test_matches_direct_kernel_every_composite_b_to_64(self):
+        for b in range(4, 65):
+            if equidist._factorize(b) == {b: 1}:
+                continue
+            rs, c0v = equidist.batch_c0(b)
+            [direct], [biggest] = direct_sums(rs, b, ("c0",))
+            assert np.all(np.abs(c0v - direct) <= (b - 1) * np.finfo(float).eps * biggest), b
+
+    def test_index_map_covers_every_unit_once(self):
+        for e in range(2, 400):
+            units, _ = equidist._c0_star(e)
+            assert np.array_equal(np.sort(units), equidist._coprime(1, e, e)), e
+
+    def test_generator_lift(self):
+        # 5 is the least primitive root mod p = 40487 and 5^(p-1) = 1 mod p^2,
+        # so 5 has order p - 1 mod p^2 and the generator there must be 5 + p
+        p = 40487
+        assert equidist._primitive_root(p) == 5
+        assert pow(5, p - 1, p * p) == 1
+        g = equidist._prime_power_root(p, 2)
+        assert g == 5 + p
+        n = p * (p - 1)
+        assert all(pow(g, n // q, p * p) != 1 for q in equidist._factorize(n))
+        assert equidist._prime_power_root(p, 1) == 5
+        assert equidist._unit_axes(p * p) == [(g, n)]
+
+    @pytest.mark.parametrize("b", [99991, 100000, 90090])
+    def test_identities_near_1e5(self, b):
+        rs, c0v = equidist.batch_c0(b)
+        by_r = equidist._c0_fft(b)
+        # Oddness at every unit.  Each c0 sum has a term of size about
+        # cot(pi/b)/2 or more (where m r = +-1), so the bounds of a pair add up
+        # to at least the bound at r = 1, whose largest term is about cot(pi/b).
+        assert np.max(np.abs(by_r[b - rs] + c0v)) <= c0(ReducedFraction(1, b)).err_bound
+        picks = rs[np.random.default_rng(b).choice(len(rs), 16, replace=False)]
+        rbar = np.array([pow(int(r), -1, b) for r in picks.tolist()])
+        [q, v], qv_big = direct_sums(picks, b, ("q", "v"))
+        _, [c0_big] = direct_sums(np.concatenate([[1], picks, rbar]), b, ("c0",))
+        q_err, v_err = (b - 1) * np.finfo(float).eps * qv_big
+        one_err, r_err, rbar_err = np.split((b - 1) * np.finfo(float).eps * c0_big, [1, 17])
+        assert np.all(np.abs(v + by_r[rbar]) <= v_err + rbar_err)
+        decomposition = by_r[1] - picks * by_r[picks]
+        assert np.all(np.abs(q - decomposition) <= q_err + one_err + picks * r_err)
+
+
 class TestScan:
     @pytest.mark.parametrize("b", [101, 105])
     def test_matches_scalar_route(self, b):
-        # prime b takes the FFT route, composite b the direct kernel
+        # a slice of the whole-modulus table, prime or composite
         w = ScanWindow(b, 0.6, 0.8)
         rs, c0v, qv = equidist.scan_arrays(w)
         for i, r in enumerate(rs.tolist()):
@@ -147,8 +209,8 @@ class TestScan:
             assert qv[i] == pytest.approx(q_sum(f).value, rel=1e-10)
 
     def test_composite_decomposition_q_within_err_bound(self):
-        # At composite b the scan takes Q = c0(1/b) - r c0(r/b), which cancels
-        # when |Q| is large; hold it to q_sum's own formula and bound.
+        # The scan takes Q = c0(1/b) - r c0(r/b), which cancels when |Q| is
+        # large; hold it to q_sum's own formula and bound.
         b = 30030
         rs, _, qv = equidist.scan_arrays(ScanWindow(b, 0.6, 0.8))
         picks = {0, len(rs) // 2, len(rs) - 1, int(np.argmax(np.abs(qv)))}
@@ -172,7 +234,7 @@ class TestScan:
         assert scan_reports[10007].moments_q[2] == pytest.approx(0.014196, abs=2e-6)
 
     def test_thread_invariance(self):
-        # 3003 is composite, so its scan runs the direct kernel
+        # threads is accepted and has no effect, at prime and composite b
         for modulus in (2003, 3003):
             w = ScanWindow(modulus, 0.6, 0.8)
             a = scan(w, 2, deterministic=True, threads=1)
