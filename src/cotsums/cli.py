@@ -90,7 +90,7 @@ def cmd_c0(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.figure:
         try:
-            rs, c0v = equidist.batch_c0(args.b, threads=args.threads)
+            rs, c0v = equidist.batch_c0(args.b)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -109,9 +109,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         return 2
     try:
         window = equidist.ScanWindow(args.b, args.a0, args.a1)
-        rep = equidist.scan(
-            window, args.kmax, threads=args.threads, deterministic=args.deterministic
-        )
+        rep = equidist.scan(window, args.kmax, deterministic=args.deterministic)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -145,6 +143,8 @@ def cmd_asympt(args: argparse.Namespace) -> int:
         fault = "--b-list must be comma-separated integers"
     elif min(blist) < 2:
         fault = "--b-list moduli must be >= 2"
+    elif max(blist) > core._B_MAX:
+        fault = f"--b-list moduli must be <= {core._B_MAX}"
     elif any(y <= x for x, y in zip(blist, blist[1:])):
         fault = "--b-list must be strictly ascending"
     else:
@@ -388,14 +388,12 @@ def _suite_distribution(args: argparse.Namespace):
 
 def _suite_determinism(args: argparse.Namespace):
     window = equidist.ScanWindow(1009, 0.6, 0.8)
-    rep1 = equidist.scan(window, 2, deterministic=True, threads=1)
-    rep2 = equidist.scan(window, 2, deterministic=True, threads=4)
+    rep1 = equidist.scan(window, 2, deterministic=True)
+    rep2 = equidist.scan(window, 2, deterministic=True)
     s1 = json.dumps(report_to_dict(rep1), sort_keys=True)
     s2 = json.dumps(report_to_dict(rep2), sort_keys=True)
     ok = s1 == s2 and np.array_equal(rep1.cdf.values, rep2.cdf.values)
-    rep3 = equidist.scan(window, 2, deterministic=True, threads=1)
-    ok = ok and json.dumps(report_to_dict(rep3), sort_keys=True) == s1
-    return ok, 0.0, "bit-identical reports across reruns and thread counts"
+    return ok, 0.0, "bit-identical reports across reruns"
 
 
 _SUITE_FUNCS = {
@@ -451,8 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument(
         "--threads",
         type=int,
-        default=os.cpu_count() or 1,
-        help="accepted for compatibility; no effect (every b uses one whole-modulus FFT)",
+        help="ignored: every kernel is serial (kept so existing command lines parse)",
     )
     p_scan.add_argument("--deterministic", action="store_true")
     p_scan.add_argument("--format", choices=("csv", "json"), default=None)

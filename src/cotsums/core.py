@@ -5,14 +5,13 @@ with the Vasyunin sum V, the floor-weighted sum Q, the Estermann value at the
 origin, and two identity checks (a fractional-part identity and the
 reciprocity defect).  c0, Q and V come from one direct-sum kernel,
 `direct_sums`, at one residue or at an array of them (`cotsums.equidist`);
-it uses no BLAS, and a value is the same bit for bit whatever batch or
-thread count computes it (same machine and numpy build).
+it is serial, uses no BLAS, and a value is the same bit for bit whatever
+batch computes it (same machine and numpy build).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -132,7 +131,7 @@ def _two_sum_tree(t: np.ndarray):
     return t[:, 0], lo
 
 
-def direct_sums(rs, b: int, rows, threads: int = 1, oracle: bool = False):
+def direct_sums(rs, b: int, rows, *, oracle: bool = False):
     """The sums `rows` ("c0", "q", "v") at each residue r of `rs`, and max |term|.
 
     The terms over m = 1..b-1, with T the cot table and m r reduced in int64:
@@ -141,18 +140,9 @@ def direct_sums(rs, b: int, rows, threads: int = 1, oracle: bool = False):
     pairwise (`np.add.reduce`), or with `oracle` by a pairwise tree of TwoSums
     plus their summed errors (after Sum2 of Ogita, Rump and Oishi, SIAM J. Sci.
     Comput. 26, 2005); chunk results are added in m order by TwoSum.  So a
-    value does not depend on the other residues, and `threads` threads each
-    take a slice of `rs` with the same result.  Both are (len(rows), len(rs)).
+    value does not depend on the other residues.  Both are (len(rows), len(rs)).
     """
-    parts = np.array_split(np.asarray(rs, dtype=np.int64), max(1, min(threads, len(rs))))
-    if len(parts) == 1:
-        return _direct_sums(parts[0], b, rows, oracle)
-    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-        done = list(pool.map(lambda part: _direct_sums(part, b, rows, oracle), parts))
-    return tuple(np.concatenate(out, axis=1) for out in zip(*done))
-
-
-def _direct_sums(rs: np.ndarray, b: int, rows, oracle: bool):
+    rs = np.asarray(rs, dtype=np.int64)
     _check_modulus(b)
     table = cot_table(b)
     chunk = min(b - 1, _CELLS)
@@ -187,7 +177,7 @@ def _direct_sums(rs: np.ndarray, b: int, rows, oracle: bool):
 
 
 def _one(f: ReducedFraction, row: str, oracle: bool) -> SumValue:
-    [[value]], [[biggest]] = _direct_sums(np.array([f.r]), f.b, (row,), oracle)
+    [[value]], [[biggest]] = direct_sums([f.r], f.b, (row,), oracle=oracle)
     return SumValue(float(value), err_bound=(f.b - 1) * _EPS * float(biggest), terms=f.b - 1)
 
 

@@ -26,7 +26,7 @@ generated by a primitive root g; with m = g^i and r = g^j,
 a cyclic correlation of length p-1 (Rader, Proc. IEEE 56, 1968),
 O(p log p) for all p-1 values together.  `core.direct_sums` gives V and Q
 by their own formulas (`batch_c0_vq`), so identity checks compare
-independent routes.  The `threads` arguments are accepted and have no effect.
+independent routes.  Every kernel here is serial.
 """
 
 from __future__ import annotations
@@ -251,22 +251,18 @@ def _c0_fft(b: int) -> np.ndarray:
     return out
 
 
-def batch_c0(b: int, threads: int = 1):
-    """(r, c0(r/b)) for every r in 1..b-1 coprime to b: a slice of `_c0_fft(b)`.
-
-    `threads` is accepted for compatibility and has no effect.
-    """
+def batch_c0(b: int):
+    """(r, c0(r/b)) for every r in 1..b-1 coprime to b: a slice of `_c0_fft(b)`."""
     _check_modulus(b)
     rs = _coprime(1, b - 1, b)
     return rs, _c0_fft(b)[rs]
 
 
-def scan_arrays(window: ScanWindow, threads: int = 1):
+def scan_arrays(window: ScanWindow):
     """Per-residue raw values: (r, c0(r/b), Q(r/b)) over the window.
 
     c0 is a slice of the whole-modulus table `_c0_fft(b)`, and
-    Q = c0(1/b) - r c0(r/b) comes from the same table.  `threads` is
-    accepted for compatibility and has no effect.
+    Q = c0(1/b) - r c0(r/b) comes from the same table.
     """
     rs = window_residues(window)
     by_r = _c0_fft(window.b)
@@ -321,14 +317,13 @@ def scan(
     window: ScanWindow,
     k_max: int,
     *,
-    threads: int = 1,
     reference: EmpiricalCDF | None = None,
     deterministic: bool = False,
 ) -> ScanReport:
     """Moment scan over the window; powers 1..2*k_max of both sums.
 
     Accumulation is an exactly-rounded sum over the position-ordered value
-    array, so reports are bit-identical across reruns and thread counts.
+    array, so reports are bit-identical across reruns.
     With `deterministic` the wall-clock field is zeroed as well.  A
     `reference` CDF turns on the Kolmogorov-Smirnov comparison.
     """
@@ -336,7 +331,7 @@ def scan(
         raise ValueError("k_max >= 1 required")
     tic = time.perf_counter()
     b = window.b
-    rs, c0, q = scan_arrays(window, threads=threads)
+    rs, c0, q = scan_arrays(window)
     if len(rs) == 0:
         raise ValueError("window contains no admissible residue")
     phi = euler_phi(b)

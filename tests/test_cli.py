@@ -160,7 +160,7 @@ class TestScanMoments:
         capsys.readouterr()
 
     def test_deterministic_runs_are_byte_identical(self, tmp_path, capsys):
-        # 1009 takes the FFT route, the composite 3003 the threaded gather route
+        # both moduli take the whole-modulus FFT; the composite 3003 has several axes
         for modulus in ("1009", "3003"):
             paths = []
             for tag, threads in (("a", "1"), ("b", "3")):
@@ -234,6 +234,7 @@ class TestAsymptCommand:
             ("0", "1,5", ">= 2"),
             ("-1", "100,200", "--n"),
             ("0", "abc", "integers"),
+            ("0", "100,3037000500", "<= 3037000499"),
         ):
             assert run(["asympt", "--n", n, "--b-list", blist]) == 2
             assert fault in capsys.readouterr().err

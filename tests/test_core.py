@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cotsums import core
 from cotsums.core import ReducedFraction, c0, q_sum, vasyunin
+from conftest import mp_cot
 
 SQRT3 = math.sqrt(3.0)
 
@@ -16,6 +18,31 @@ def coprime_pairs(max_b):
         .flatmap(lambda b: st.tuples(st.integers(1, b - 1), st.just(b)))
         .filter(lambda rb: math.gcd(rb[0], rb[1]) == 1)
     )
+
+
+def _exact_sums(r, b):
+    # c0, Q and V at r/b from 30-digit cotangents, rounded once to float
+    with mpmath.workdps(30):
+        cot = mp_cot(b)
+        c = -mpmath.fdot((m, cot[m * r % b]) for m in range(1, b)) / b
+        q = mpmath.fdot((m * r // b, cot[m * r % b]) for m in range(1, b))
+        v = mpmath.fdot((mpmath.mpf(m * r % b) / b, cot[m]) for m in range(1, b))
+    return {c0: float(c), q_sum: float(q), vasyunin: float(v)}
+
+
+class TestErrBound:
+    @settings(max_examples=30)
+    @example((1, 2))  # c0(1/2) = 0 with err_bound 0
+    @example((1, 2999))  # Q(1/b) = 0 with err_bound 0: every floor(m/b) is 0
+    @given(coprime_pairs(3000))
+    def test_within_err_bound_of_30_digit_value(self, rb):
+        # a bound of 0 demands the exact value
+        r, b = rb
+        f = ReducedFraction(r, b)
+        for fn, exact in _exact_sums(r, b).items():
+            for oracle in (False, True):
+                got = fn(f, oracle=oracle)
+                assert abs(got.value - exact) <= got.err_bound, (fn.__name__, oracle)
 
 
 class TestReducedFraction:

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 
@@ -22,6 +21,7 @@ from cotsums.equidist import (
     scan,
 )
 from cotsums.gseries import EmpiricalCDF
+from conftest import mp_cot
 
 
 class TestEulerPhi:
@@ -60,18 +60,9 @@ class TestScanWindow:
         assert equidist.window_residues(w).tolist() == [7, 11]
 
 
-@functools.lru_cache(maxsize=None)
-def _mp_cot(p):
-    # cot(pi k / p) for k = 0..p-1 in 30 digits; cospi is exactly 0 at k/p = 1/2
-    with mpmath.workdps(30):
-        half = [mpmath.cospi(mpmath.mpf(k) / p) / mpmath.sinpi(mpmath.mpf(k) / p)
-                for k in range(1, p // 2 + 1)]
-    return [mpmath.mpf(0)] + half + [-x for x in reversed(half[: (p - 1) // 2])]
-
-
 def _mp_c0(r, p):
     with mpmath.workdps(30):
-        cot = _mp_cot(p)
+        cot = mp_cot(p)
         return float(-mpmath.fdot((m, cot[m * r % p]) for m in range(1, p)) / p)
 
 
@@ -110,23 +101,20 @@ class TestBatchC0:
             assert vv[i] == vasyunin(f).value
 
     @pytest.mark.parametrize("oracle", [False, True])
-    def test_direct_sums_thread_invariant(self, oracle):
-        # each thread takes a slice of the residues; no value may move
-        b = 3003
-        rs = [r for r in range(1, b) if math.gcd(r, b) == 1]
-        one = direct_sums(rs, b, ("c0", "q", "v"), 1, oracle)
-        for threads in (2, 3, 7):
-            many = direct_sums(rs, b, ("c0", "q", "v"), threads, oracle)
-            assert all(np.array_equal(x, y) for x, y in zip(one, many))
-
-    @pytest.mark.parametrize("oracle", [False, True])
     def test_scalar_sums_across_chunks_within_err_bound(self, oracle):
-        # b - 1 exceeds one chunk of the direct kernel, so partials are joined
+        # b - 1 exceeds one chunk of the direct kernel, so partials are joined;
+        # a batch value must not depend on the other residues of the batch
         p = 262147
         by_r = equidist._c0_fft(p)
-        for r in (1, 2, 65537, 131073, 262146):
-            want = c0(ReducedFraction(r, p), oracle=oracle)
+        rs = (1, 2, 65537, 131073, 262146)
+        batch, _ = direct_sums(rs, p, ("c0", "q", "v"), oracle=oracle)
+        for i, r in enumerate(rs):
+            f = ReducedFraction(r, p)
+            want = c0(f, oracle=oracle)
             assert abs(want.value - by_r[r]) <= want.err_bound
+            assert batch[0, i] == want.value
+            assert batch[1, i] == q_sum(f, oracle=oracle).value
+            assert batch[2, i] == vasyunin(f, oracle=oracle).value
 
     def test_rejects_modulus_past_int64_products(self):
         misses = cot_table.cache_info().misses
@@ -232,17 +220,6 @@ class TestScan:
         assert scan_reports[1009].moments_c0[2] == pytest.approx(0.025710, abs=2e-6)
         assert scan_reports[10007].moments_c0[2] == pytest.approx(0.029074, abs=2e-6)
         assert scan_reports[10007].moments_q[2] == pytest.approx(0.014196, abs=2e-6)
-
-    def test_thread_invariance(self):
-        # threads is accepted and has no effect, at prime and composite b
-        for modulus in (2003, 3003):
-            w = ScanWindow(modulus, 0.6, 0.8)
-            a = scan(w, 2, deterministic=True, threads=1)
-            b = scan(w, 2, deterministic=True, threads=4)
-            assert a.moments_c0 == b.moments_c0
-            assert a.moments_q == b.moments_q
-            assert np.array_equal(a.cdf.values, b.cdf.values)
-            assert np.array_equal(a.c0_values, b.c0_values)
 
     def test_moment_bridge(self):
         # sum c0^2 vs sum (Q/r)^2: equal up to the O(log^2 b / b) cross terms
