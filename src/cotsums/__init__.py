@@ -4,7 +4,7 @@ the sawtooth limit profile, and equidistribution scans.
 The package has four layers. `core` evaluates the sums themselves by one
 direct-sum kernel with paired error bounds. `asymptotics` carries the
 b -> infinity expansion of c0(1/b), the secondary coefficient C1(r, b0)
-by quadrature and by empirical fit, and the Euler-Maclaurin machinery
+as a digamma sum and by empirical fit, and the Euler-Maclaurin machinery
 both rest on. `gseries` handles the limit profile g(alpha): truncated
 series, Fourier form, continued-fraction convergence, moments, and the
 empirical distribution. `equidist` runs window scans over residues

@@ -11,9 +11,11 @@ actually follows (fitting residuals at the 1e-19 level).
 
 Also here: Bernoulli numbers, a real-argument zeta, the generalized
 Euler-Maclaurin summation with a remainder bound, the partial sums S(L;b) and
-G_L(b) converging to pi*c0(1/b), the constant D1, the partial-fraction
-function g*, P1 integrals, and the closed-form C1 with its empirical
-cross-check.
+G_L(b) converging to pi*c0(1/b), the constant D1, and the closed-form C1
+with its empirical cross-check.  The closed form rests on one kernel,
+Stirling's remainder R(z) = psi(z) - ln z + 1/(2z): the P1 integrals are
+R(s/r)/r^2, C1 is a digamma sum over the residues, and the partial-fraction
+function g*(z) is psi(2-z) - psi(1+z).
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ def euler_maclaurin_sum(spec: EulerMaclaurinSpec) -> tuple[float, float]:
     # midpoint quadrature of |f^(2N+1)| is plenty for a bound
     order = 2 * n_corr + 1
     panels = 4096
-    h = z / panels if panels else 0.0
+    h = z / panels
     integ_abs = 0.0
     if z > 0:
         xs = (np.arange(panels) + 0.5) * h
@@ -245,81 +247,62 @@ def c0_asymptotic(b: int, n: int) -> tuple[float, float]:
     return value, last
 
 
-@lru_cache(maxsize=1)
-def _zeta_even_table() -> tuple[float, ...]:
-    return tuple(zeta_real(2.0 * k) for k in range(1, 40))
+_STIRLING_COEFFS = tuple(bernoulli(2 * k) / (2 * k) for k in range(1, 9))
+
+
+def _stirling_remainder(z: float) -> float:
+    """R(z) = psi(z) - ln z + 1/(2z) for z > 0, to ~1e-14 relative.
+
+    Below 10 the argument steps up by psi(z+1) = psi(z) + 1/z, i.e.
+    R(z) = R(z+1) + log1p(1/z) - 1/(2z) - 1/(2(z+1)); from 10 on the
+    asymptotic series R(z) ~ -sum_{k<=8} B_{2k}/(2k z^{2k}) (DLMF 5.11.2)
+    takes over, its first omitted term below 4e-18.
+    """
+    acc = 0.0
+    while z < 10.0:
+        acc += math.log1p(1.0 / z) - 0.5 / z - 0.5 / (z + 1.0)
+        z += 1.0
+    w = 1.0 / (z * z)
+    return acc - sum(c * w**k for k, c in enumerate(_STIRLING_COEFFS, start=1))
+
+
+def _digamma(z: float) -> float:
+    """psi(z) = R(z) + ln z - 1/(2z) for z > 0."""
+    return _stirling_remainder(z) + math.log(z) - 0.5 / z
 
 
 def gstar(z: float) -> float:
-    """g*(z) = pi cot(pi z) - 1/z - 1/(z-1) on (0, 1).
+    """g*(z) = pi cot(pi z) - 1/z - 1/(z-1) on (0, 1), as psi(2-z) - psi(1+z).
 
-    The removable endpoint behavior is handled by the power series
-    g*(z) = 1/(1-z) - 2 sum_{k>=1} zeta(2k) z^{2k-1} for z < 1/4 and by the
-    exact reflection g*(z) = -g*(1-z) for z > 3/4, so values near 0 and 1
-    stay fully accurate (limits +1 and -1).
+    The form follows from psi(1-z) - psi(z) = pi cot(pi z) and psi(w+1) =
+    psi(w) + 1/w.  It has no removable singularity to cancel, so values near
+    0 and 1 stay accurate (limits +1 and -1), and g*(1-z) = -g*(z) is exact
+    whenever 1-z is.
     """
     if not 0.0 < z < 1.0:
         raise ValueError(f"gstar needs z in (0,1), got {z}")
-    if z > 0.75:
-        return -gstar(1.0 - z)
-    if z >= 0.25:
-        return math.pi / math.tan(math.pi * z) - 1.0 / z - 1.0 / (z - 1.0)
-    acc = 0.0
-    zpow = z
-    z2 = z * z
-    for zeta2k in _zeta_even_table():
-        term = zeta2k * zpow
-        acc += term
-        if term < 1e-17:
-            break
-        zpow *= z2
-    return 1.0 / (1.0 - z) - 2.0 * acc
+    return _digamma(2.0 - z) - _digamma(1.0 + z)
 
 
-def gstar_integral(nodes: int = 128) -> float:
-    """int_0^1 g*(w) dw by Gauss-Legendre; equals 0 analytically."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+def gstar_integral() -> float:
+    """int_0^1 g*(w) dw by 128-node Gauss-Legendre; equals 0 analytically."""
+    x, w = np.polynomial.legendre.leggauss(128)
     x = 0.5 * (x + 1.0)
     return 0.5 * float(sum(wi * gstar(float(xi)) for xi, wi in zip(x, w)))
 
 
 @lru_cache(maxsize=4096)
-def p1_integral(s: int, r: int, tol: float = 1e-14) -> float:
-    """int_0^infty P1(u) / (s + u r)^2 du, with P1(x) = {x} - 1/2.
+def p1_integral(s: int, r: int) -> float:
+    """int_0^infty P1(u) / (s + u r)^2 du = R(s/r) / r^2, with P1(x) = {x} - 1/2.
 
-    Unit intervals integrate in closed form: the k-th piece equals
-    phi(t)/r^2 with t = r/(s + k r) and phi(t) = log(1+t) - t(1+t/2)/(1+t).
-    For small t that expression cancels catastrophically, so t < 1/8 switches
-    to the alternating series phi(t) = sum_{j>=3} (-1)^{j+1} (1/j - 1/2) t^j.
-    Intervals are added until the per-interval envelope 1/(8 (s+Kr)^2) is
-    below tol.
+    Writing s + u r = r (u + z) with z = s/r turns it into r^-2 int_0^infty
+    P1(u)/(u + z)^2 du, and differentiating Stirling's formula
+    ln Gamma(z) = (z - 1/2) ln z - z + ln(2pi)/2 - int_0^infty P1(u)/(u + z) du
+    shows that integral is the remainder R(z) = psi(z) - ln z + 1/(2z).
     """
     if s < 1 or r < 1:
         raise ValueError("need s >= 1 and r >= 1")
-    k_cut = max(16, math.ceil((math.sqrt(1.0 / (8.0 * tol)) - s) / r) + 1)
-    total = 0.0
-    chunk = 1 << 20
-    for lo in range(0, k_cut, chunk):
-        w = s + np.arange(lo, min(lo + chunk, k_cut), dtype=float) * r
-        t = r / w
-        big = t >= 0.125
-        out = np.empty_like(t)
-        tb = t[big]
-        out[big] = np.log1p(tb) - tb * (1.0 + 0.5 * tb) / (1.0 + tb)
-        ts = t[~big]
-        acc = np.zeros_like(ts)
-        tpow = ts * ts * ts
-        j = 3
-        while True:
-            coef = (1.0 / j - 0.5) * (1.0 if j % 2 == 1 else -1.0)
-            acc += coef * tpow
-            if j > 3 and abs(coef) * (0.125 ** j) < 1e-18:
-                break
-            tpow = tpow * ts
-            j += 1
-        out[~big] = acc
-        total += float(np.sum(out)) / (r * r)
-    return total
+    return _stirling_remainder(s / r) / (r * r)
 
 
 @dataclass
@@ -347,20 +330,22 @@ class C1Input:
 def c1_direct(inp: C1Input) -> float:
     """Closed form of the linear coefficient C1(r, b0); C1(1, .) = 0.
 
-    Four terms: the log and reciprocal sums over the residues, the P1
-    integral differences, and the g* integral term -(sum j)/r^2 int_0^1 g*.
-    The last integral is ~1e-17 but is computed, not assumed away.
+    The paper's four terms are sum_j j log(s_j/t_j)/(pi r^2), minus
+    sum_j j (1/s_j - 1/t_j)/(2 pi r), plus sum_j j (I(s_j) - I(t_j))/pi with
+    I(s) = `p1_integral(s, r)` = R(s/r)/r^2, minus g_term = (sum_j j)/r^2
+    int_0^1 g*.  As R(z) = psi(z) - ln z + 1/(2z) and 1/(2z) = r/(2s), the log
+    and reciprocal sums cancel exactly against R, which leaves
+    C1 = sum_j j (psi(s_j/r) - psi(t_j/r))/(pi r^2) - g_term.  The g*
+    integral is ~1e-17 but is computed, not assumed away.
     """
     r = inp.r
     if r == 1:
         return 0.0
-    log_term = sum(j * math.log(inp.s[j] / inp.t[j]) for j in range(r)) / (math.pi * r * r)
-    rec_term = sum(j * (1.0 / inp.s[j] - 1.0 / inp.t[j]) for j in range(r)) / (2.0 * math.pi * r)
-    p1_term = sum(
-        j * (p1_integral(inp.s[j], r) - p1_integral(inp.t[j], r)) for j in range(r)
-    ) / math.pi
+    psi_term = sum(
+        j * (_digamma(inp.s[j] / r) - _digamma(inp.t[j] / r)) for j in range(r)
+    ) / (math.pi * r * r)
     g_term = (r * (r - 1) // 2) / (r * r) * gstar_integral()
-    return log_term - rec_term + p1_term - g_term
+    return psi_term - g_term
 
 
 def default_b_list(r: int, b0: int, bmax: int) -> list[int]:

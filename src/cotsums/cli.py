@@ -54,20 +54,6 @@ def report_to_dict(rep: equidist.ScanReport) -> dict:
     }
 
 
-def report_from_dict(d: dict) -> equidist.ScanReport:
-    return equidist.ScanReport(
-        b=d["b"],
-        a0=d["a0"],
-        a1=d["a1"],
-        phi=d["phi"],
-        count=d["count"],
-        moments_c0={k + 1: v for k, v in enumerate(d["moments_c0"])},
-        moments_q={k + 1: v for k, v in enumerate(d["moments_q"])},
-        ks_distance=d["ks_distance"],
-        wall_ms=d["wall_ms"],
-    )
-
-
 def cmd_c0(args: argparse.Namespace) -> int:
     oracle = args.precision == "oracle"
     try:

@@ -363,27 +363,23 @@ def scan(
 def q_approx(r: int, b: int, m1: int) -> float:
     """(b r / pi) * f(b*/r; m1) with b b* = 1 (mod r): the series model of Q.
 
-    The sawtooth arguments l*b*/r are reduced exactly in integers, so the
-    value is free of phase rounding.
+    Needs 2 <= r < b <= `core._B_MAX`.  The sawtooth arguments l*b*/r are
+    reduced exactly in integers as ((l mod r) b*) mod r, whose products stay
+    below r^2 < 2^63, so the value is free of phase rounding.
     """
     if r < 2:
         raise ValueError("r >= 2 required (Q(1/b) = 0 is exact upstream)")
+    if r >= b:
+        raise ValueError(f"r < b required, got r={r}, b={b}")
+    _check_modulus(b)
     if math.gcd(r, b) != 1:
         raise ValueError(f"gcd(r, b) = {math.gcd(r, b)} != 1")
     bstar = pow(b, -1, r)
-    t = TruncatedGSeries(m1)
-    if t.terms * bstar < (1 << 62):
-        l = np.arange(1, t.terms + 1, dtype=np.int64)
-        res = (l * bstar) % r
-        saw = 1.0 - 2.0 * (res / r)
-        saw[res == 0] = 0.0
-        total = float(saw @ (1.0 / l))
-    else:
-        total = math.fsum(
-            (1.0 - 2.0 * ((l * bstar) % r) / r) / l if (l * bstar) % r else 0.0
-            for l in range(1, t.terms + 1)
-        )
-    return b * r / math.pi * total
+    l = np.arange(1, TruncatedGSeries(m1).terms + 1, dtype=np.int64)
+    res = (l % r) * bstar % r
+    saw = 1.0 - 2.0 * (res / r)
+    saw[res == 0] = 0.0
+    return b * r / math.pi * float(saw @ (1.0 / l))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,6 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import digamma
 
 from cotsums import asymptotics as asy
 from cotsums.core import ReducedFraction, c0
@@ -173,7 +172,7 @@ class TestGStar:
         assert abs(asy.gstar(0.5)) < 1e-14
 
     def test_reflection_exact_through_fold(self):
-        # z dyadic below 1/4 makes 1-z exact and routes through the fold
+        # z dyadic makes 1-z exact, so 2-(1-z) = 1+z and the psi pair just swaps
         for k in (1, 77, 131072, 262143):
             z = k / float(1 << 20)
             assert asy.gstar(1.0 - z) == -asy.gstar(z)
@@ -187,12 +186,27 @@ class TestGStar:
 
     def test_against_digamma_telescope(self):
         z = np.linspace(1e-3, 1.0 - 1e-3, 10_001)
-        oracle = digamma(2.0 - z) - digamma(1.0 + z)
+        oracle = np.array(
+            [float(mpmath.digamma(2.0 - x) - mpmath.digamma(1.0 + x)) for x in z.tolist()]
+        )
         mine = np.array([asy.gstar(float(x)) for x in z])
         assert np.max(np.abs(mine - oracle)) < 1e-8
 
     def test_integral_is_numerically_zero(self):
         assert abs(asy.gstar_integral()) < 1e-12
+
+
+class TestStirlingRemainder:
+    def test_against_30_digit_digamma(self):
+        # R(z) = psi(z) - ln z + 1/(2z) and psi at every z = s/r with s, r <= 50
+        with mpmath.workdps(30):
+            for r in range(1, 51):
+                for s in range(1, 51):
+                    z = mpmath.mpf(s) / r
+                    psi = mpmath.digamma(z)
+                    rem = psi - mpmath.log(z) + 1 / (2 * z)
+                    assert abs(asy._stirling_remainder(s / r) - rem) <= 3e-14 * abs(rem)
+                    assert abs(asy._digamma(s / r) - psi) <= 1e-15 * max(1, abs(psi))
 
 
 class TestP1Integral:
@@ -209,14 +223,15 @@ class TestP1Integral:
 class TestC1Direct:
     def test_anchors(self):
         cases = {
-            (2, 1): -0.11031780007632581,
-            (3, 1): -0.18071641409864506,
+            # the psi sum at 30 digits; the g* integral is 0 analytically
+            (2, 1): -0.1103178000763258,
+            (3, 1): -0.180716414098645,
             (3, 2): -0.05241635427872818,
-            (5, 1): -0.2806226181062527,
-            (5, 2): -0.08639508653866145,
+            (5, 1): -0.2806226180512123,
+            (5, 2): -0.08639508647445705,
         }
         for (r, b0), want in cases.items():
-            assert asy.c1_direct(asy.C1Input(r, b0)) == pytest.approx(want, abs=1e-9)
+            assert asy.c1_direct(asy.C1Input(r, b0)) == pytest.approx(want, abs=1e-14)
 
     def test_r_one_is_zero(self):
         assert asy.c1_direct(asy.C1Input(1, 1)) == 0.0
@@ -229,6 +244,21 @@ class TestC1Direct:
             - 0.25 * asy.gstar_integral()
         )
         assert asy.c1_direct(asy.C1Input(2, 1)) == pytest.approx(want, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "r,b0", [(r, b0) for r in range(2, 13) for b0 in range(1, r) if math.gcd(r, b0) == 1]
+    )
+    def test_four_term_form(self, r, b0):
+        # the paper's log, reciprocal, P1 and g* terms against the collapsed psi sum
+        inp = asy.C1Input(r, b0)
+        s, t, js = inp.s, inp.t, range(r)
+        four = (
+            sum(j * math.log(s[j] / t[j]) for j in js) / (math.pi * r * r)
+            - sum(j * (1.0 / s[j] - 1.0 / t[j]) for j in js) / (2.0 * math.pi * r)
+            + sum(j * (asy.p1_integral(s[j], r) - asy.p1_integral(t[j], r)) for j in js) / math.pi
+            - (r * (r - 1) // 2) / (r * r) * asy.gstar_integral()
+        )
+        assert asy.c1_direct(inp) == pytest.approx(four, abs=1e-15)
 
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):

@@ -104,29 +104,6 @@ class TestScanMoments:
         header, rows = read_csv(out)
         assert header == ["r", "c0"] and len(rows) == 202
 
-    def test_report_dict_round_trip(self, tmp_path, capsys):
-        out = tmp_path / "rt.csv"
-        run(
-            [
-                "scan",
-                "--b",
-                "401",
-                "--a0",
-                "0.6",
-                "--a1",
-                "0.8",
-                "--deterministic",
-                "--threads",
-                "1",
-                "--output",
-                str(out),
-            ]
-        )
-        capsys.readouterr()
-        with open(tmp_path / "rt.json", encoding="utf-8") as fh:
-            d = json.load(fh)
-        assert cli.report_to_dict(cli.report_from_dict(d)) == d
-
     def test_json_format_skips_csv(self, tmp_path, capsys):
         out = tmp_path / "only.csv"
         code = run(

@@ -262,6 +262,10 @@ class TestQApprox:
             q_approx(1, 7, 8)
         with pytest.raises(ValueError):
             q_approx(4, 6, 8)
+        # r >= b, a huge r >= b, and an odd modulus past the int64 guard
+        for r, b in ((9, 7), (2**55, 3), (2, (equidist._B_MAX + 1) | 1)):
+            with pytest.raises(ValueError):
+                q_approx(r, b, 8)
 
     def test_half_point_vanishes(self):
         assert q_approx(2, 9, 10) == 0.0
