@@ -64,7 +64,7 @@ def cmd_c0(args: argparse.Namespace) -> int:
         return 2
     qv = core.q_sum(frac, oracle=oracle)
     vv = core.vasyunin(frac, oracle=oracle)
-    re, im = core.estermann_at_zero(frac)
+    re, im = core.estermann_at_zero(frac, val)
     label = f"{frac.r}/{frac.b}"
     print(f"c0({label}) = {_g17(val.value)} (err_bound {val.err_bound:.3g})")
     print(f"Q({label}) = {_g17(qv.value)} (err_bound {qv.err_bound:.3g})")

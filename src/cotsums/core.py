@@ -4,8 +4,9 @@ c0(r/b) = -sum_{m=1}^{b-1} (m/b) cot(pi m r / b) for gcd(r, b) = 1, together
 with the Vasyunin sum V, the floor-weighted sum Q, the Estermann value at the
 origin, and two identity checks (a fractional-part identity and the
 reciprocity defect).  c0, Q and V come from one direct-sum kernel,
-`direct_sums`, at one residue or at an array of them (`cotsums.equidist`);
-it is serial, uses no BLAS, and a value is the same bit for bit whatever
+`direct_sums`, at one residue or at an array of them (`cotsums.equidist`): it
+pairs the terms at k and b - k and reads the cot table in order over k < b/2,
+is serial, uses no BLAS, and gives a value the same bit for bit whatever
 batch computes it (same machine and numpy build).
 """
 
@@ -89,11 +90,10 @@ def cot_table(b: int) -> np.ndarray:
     if b < 2:
         raise ValueError(f"b must be >= 2, got {b}")
     t = np.zeros(b)
-    j = np.arange(1, (b + 1) // 2)
-    t[j] = 1.0 / np.tan(np.pi * j / b)
-    if b % 2 == 0:
-        t[b // 2] = 0.0
-    t[b - j] = -t[j]
+    h = t[1 : (b + 1) // 2]  # j = 1..(b-1)//2, evaluated in place
+    np.divide(np.multiply(np.arange(1, len(h) + 1), np.pi, out=h), b, out=h)
+    np.divide(1.0, np.tan(h, out=h), out=h)
+    np.negative(h[::-1], out=t[b // 2 + 1 :])
     t.flags.writeable = False
     return t
 
@@ -132,42 +132,54 @@ def _two_sum_tree(t: np.ndarray):
 
 
 def direct_sums(rs, b: int, rows, *, oracle: bool = False):
-    """The sums `rows` ("c0", "q", "v") at each residue r of `rs`, and max |term|.
+    """The sums `rows` ("c0", "q", "v") at each unit r of `rs`, and max |term|.
 
-    The terms over m = 1..b-1, with T the cot table and m r reduced in int64:
-        c0: -(m/b) T[m r mod b],  q: T[m r mod b] floor(m r / b),  v: ((m r mod b)/b) T[m].
-    m runs in chunks whose bounds depend only on b.  A chunk row is summed
+    The terms at m r = k and b - k (mod b) pair up, as T[b-k] = -T[k] in the cot
+    table T; so, with m_k = k rbar mod b, each sum reads T[k] in order over
+    k = 1..(b-1)//2, with integer weights divided or converted once:
+        c0: ((b - 2 m_k)/b) T[k],  q: (2 floor(m_k r / b) - r + 1) T[k],
+        v: ((2 (k r mod b) - b)/b) T[k],
+    and c0(r/b) = -V(rbar/b), c0((b-r)/b) = -c0(r/b) hold bit for bit.
+    k runs in chunks whose bounds depend only on b.  A chunk row is summed
     pairwise (`np.add.reduce`), or with `oracle` by a pairwise tree of TwoSums
     plus their summed errors (after Sum2 of Ogita, Rump and Oishi, SIAM J. Sci.
-    Comput. 26, 2005); chunk results are added in m order by TwoSum.  So a
+    Comput. 26, 2005); chunk results are added in k order by TwoSum.  So a
     value does not depend on the other residues.  Both are (len(rows), len(rs)).
     """
     rs = np.asarray(rs, dtype=np.int64)
     _check_modulus(b)
+    if np.any(bad := np.gcd(rs, b) != 1):
+        raise ValueError(f"r={rs[bad][0]} is not a unit mod b={b}")
+    rbar = np.array([pow(r, -1, b) for r in rs.tolist()], dtype=np.int64)
     table = cot_table(b)
-    chunk = min(b - 1, _CELLS)
+    half = (b - 1) // 2
+    chunk = max(1, min(half, _CELLS))
     block = max(1, min(len(rs), _CELLS // chunk))
-    # starting from +0.0 makes a sum of -0.0 terms (c0(1/2), Q(1/b)) +0.0
+    # starting from +0.0 makes an empty or all-zero sum (c0(1/2), Q(1/b)) +0.0
     hi, lo, biggest = (np.zeros((len(rows), len(rs))) for _ in range(3))
     # One buffer for every block: fresh block-sized temporaries would page-fault.
-    buf = np.empty((4, block * chunk), dtype=np.int64)
-    for m0 in range(1, b, chunk):
-        m = np.arange(m0, min(m0 + chunk, b), dtype=np.int64)
-        w, tm = np.divide(m, -b), table[m0 : m0 + len(m)]  # w == -(m/b) exactly
+    buf = np.empty((3, block * chunk), dtype=np.int64)
+    for k0 in range(1, half + 1, chunk):
+        k = np.arange(k0, min(k0 + chunk, half + 1), dtype=np.int64)
+        tk = table[k0 : k0 + len(k)]
         for start in range(0, len(rs), block):
             sl = slice(start, start + block)
             r = rs[sl, None]
-            prod, quot, res, t = (x[: len(r) * len(m)].reshape(len(r), len(m)) for x in buf)
+            prod, res, t = (x[: len(r) * len(k)].reshape(len(r), len(k)) for x in buf)
             t = t.view(float)
-            # m r - b floor(m r / b): in numpy faster than a remainder
-            np.floor_divide(np.multiply(r, m, out=prod), b, out=quot)
-            np.subtract(prod, np.multiply(quot, b, out=res), out=res)
             for i, row in enumerate(rows):
-                if row == "v":
-                    np.multiply(np.divide(res, b, out=t), tm, out=t)
-                else:  # mode="clip", a no-op on these indices, skips a buffered copy
-                    np.take(table, res, out=t, mode="clip")
-                    np.multiply(t, w if row == "c0" else quot, out=t)
+                # k s mod b, s = r (v) or rbar: k s - b floor(k s / b) beats a remainder
+                np.multiply(r if row == "v" else rbar[sl, None], k, out=prod)
+                np.floor_divide(prod, b, out=res)
+                np.subtract(prod, np.multiply(res, b, out=res), out=res)
+                if row == "q":  # res = m_k
+                    np.floor_divide(np.multiply(res, r, out=prod), b, out=prod)
+                    np.subtract(np.left_shift(prod, 1, out=prod), r - 1, out=prod)
+                    np.multiply(prod, tk, out=t)
+                else:
+                    np.left_shift(res, 1, out=res)
+                    np.subtract(res, b, out=res) if row == "v" else np.subtract(b, res, out=res)
+                    np.multiply(np.divide(res, b, out=t), tk, out=t)
                 big = np.maximum(np.abs(t.max(axis=1)), np.abs(t.min(axis=1)))
                 np.maximum(biggest[i, sl], big, out=biggest[i, sl])
                 h, l = _two_sum_tree(t) if oracle else (np.add.reduce(t, axis=1), 0.0)
@@ -184,9 +196,9 @@ def _one(f: ReducedFraction, row: str, oracle: bool) -> SumValue:
 def c0(f: ReducedFraction, oracle: bool = False) -> SumValue:
     """c0(r/b) = -sum_{m=1}^{b-1} (m/b) cot(pi m r / b), `direct_sums` at one r.
 
-    Pole-adjacent terms reach ~b/pi, which dominates err_bound = (b-1) eps
-    max|term|.  oracle=True sums the same terms by error-free TwoSums; the
-    two values must agree to ~1e-9 relative.
+    Summed as sum_{k<b/2} ((b - 2 m_k)/b) cot(pi k/b), m_k = k rbar mod b.
+    The terms near k = 1 reach ~b/pi, which dominates err_bound = (b-1) eps
+    max|term|.  oracle=True sums the same terms by error-free TwoSums.
     """
     return _one(f, "c0", oracle)
 
@@ -194,7 +206,8 @@ def c0(f: ReducedFraction, oracle: bool = False) -> SumValue:
 def vasyunin(f: ReducedFraction, oracle: bool = False) -> SumValue:
     """V(r/b) = sum_{m=1}^{b-1} {m r / b} cot(pi m / b).
 
-    Satisfies V(r/b) = -c0(rbar/b) where r*rbar == 1 (mod b).
+    Summed as sum_{k<b/2} ((2 (k r mod b) - b)/b) cot(pi k/b), which makes
+    V(r/b) = -c0(rbar/b), r*rbar == 1 (mod b), hold bit for bit.
     """
     return _one(f, "v", oracle)
 
@@ -202,18 +215,20 @@ def vasyunin(f: ReducedFraction, oracle: bool = False) -> SumValue:
 def q_sum(f: ReducedFraction, oracle: bool = False) -> SumValue:
     """Q(r/b) = sum_{m=1}^{b-1} cot(pi m r / b) * floor(r m / b).
 
-    Links the general value to the r = 1 case:
+    Summed as sum_{k<b/2} (2 floor(m_k r/b) - r + 1) cot(pi k/b), m_k = k rbar
+    mod b.  Links the general value to the r = 1 case:
     c0(r/b) = (1/r) c0(1/b) - (1/r) Q(r/b).
     """
     return _one(f, "q", oracle)
 
 
-def estermann_at_zero(f: ReducedFraction) -> tuple[float, float]:
+def estermann_at_zero(f: ReducedFraction, value: SumValue | None = None) -> tuple[float, float]:
     """Value at the origin of the associated divisor-twisted Dirichlet series.
 
-    Returns the (re, im) pair (1/4, c0(r/b)/2).
+    Returns the (re, im) pair (1/4, c0(r/b)/2), from `value` when that c0(f)
+    has been summed already (in either precision).
     """
-    return 0.25, 0.5 * c0(f).value
+    return 0.25, 0.5 * (value or c0(f)).value
 
 
 def fractional_identity_check(a: int, n: int, f: ReducedFraction) -> float:

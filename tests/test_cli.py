@@ -29,6 +29,15 @@ class TestC0Command:
         line = capsys.readouterr().out.splitlines()[0]
         float(line.split("=")[1].split("(")[0])
 
+    @pytest.mark.parametrize("precision", ["default", "oracle"])
+    def test_estermann_pair_uses_the_printed_c0(self, capsys, precision):
+        # at 4123/10007 the default and oracle sums differ in the last digit
+        assert run(["c0", "--r", "4123", "--b", "10007", "--precision", precision]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        c0v = float(lines[0].split(" = ")[1].split(" (")[0])
+        re, im = (float(x) for x in lines[3].split(" = ")[1].strip("()").split(", "))
+        assert (re, im) == (0.25, 0.5 * c0v)
+
     def test_rejects_non_coprime(self, capsys):
         assert run(["c0", "--r", "2", "--b", "4"]) == 2
         assert "error" in capsys.readouterr().err

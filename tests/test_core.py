@@ -45,6 +45,48 @@ class TestErrBound:
                 assert abs(got.value - exact) <= got.err_bound, (fn.__name__, oracle)
 
 
+def _indexed_cot_table(b):
+    # reference: the fancy-indexed construction on a fresh array
+    t = np.zeros(b)
+    j = np.arange(1, (b + 1) // 2)
+    t[j] = 1.0 / np.tan(np.pi * j / b)
+    if b % 2 == 0:
+        t[b // 2] = 0.0
+    t[b - j] = -t[j]
+    return t
+
+
+class TestCotTable:
+    def test_bit_identical_to_indexed_construction(self):
+        for b in [*range(2, 301), 1_000_003, 1_000_004]:
+            got, want = core.cot_table(b), _indexed_cot_table(b)
+            assert np.array_equal(got, want), b
+            assert np.array_equal(np.signbit(got), np.signbit(want)), b
+
+
+class TestDirectSums:
+    @pytest.mark.parametrize("r,b", [(2, 4), (0, 7), (21, 105), (3003, 3003)])
+    def test_rejects_non_units(self, r, b):
+        with pytest.raises(ValueError, match=f"r={r} is not a unit mod b={b}"):
+            core.direct_sums([1, r], b, ("c0",))
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    @pytest.mark.parametrize("b", [2, 3, 4, 7, 105, 3003, 524309])
+    def test_pairing_identities_hold_exactly(self, b, oracle):
+        # c0(r/b) = -V(rbar/b) and c0((b-r)/b) = -c0(r/b), bit for bit: both
+        # sides sum the same products of exactly negated weights in one order
+        if b == 524309:  # two chunks of k
+            rs = np.array([1, 2, 3, 131077, 262154, 400000])
+        else:
+            rs = np.array([r for r in range(1, b) if math.gcd(r, b) == 1])
+        rbar = np.array([pow(int(r), -1, b) for r in rs])
+        [c0v], _ = core.direct_sums(rs, b, ("c0",), oracle=oracle)
+        [v], _ = core.direct_sums(rbar, b, ("v",), oracle=oracle)
+        [mirror], _ = core.direct_sums(b - rs, b, ("c0",), oracle=oracle)
+        assert np.array_equal(c0v, -v)
+        assert np.array_equal(c0v, -mirror)
+
+
 class TestReducedFraction:
     def test_inverse(self):
         assert ReducedFraction(3, 7).inverse == 5

@@ -102,11 +102,11 @@ class TestBatchC0:
 
     @pytest.mark.parametrize("oracle", [False, True])
     def test_scalar_sums_across_chunks_within_err_bound(self, oracle):
-        # b - 1 exceeds one chunk of the direct kernel, so partials are joined;
+        # (b - 1)/2 exceeds one chunk of the direct kernel, so partials are joined;
         # a batch value must not depend on the other residues of the batch
-        p = 262147
+        p = 524309  # (p - 1)/2 = 262154 paired terms, more than one chunk of 2^18
         by_r = equidist._c0_fft(p)
-        rs = (1, 2, 65537, 131073, 262146)
+        rs = (1, 2, 131077, 262154, 393231, 524308)
         batch, _ = direct_sums(rs, p, ("c0", "q", "v"), oracle=oracle)
         for i, r in enumerate(rs):
             f = ReducedFraction(r, p)
