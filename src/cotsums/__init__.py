@@ -15,6 +15,7 @@ from .core import (
     ReducedFraction,
     SumValue,
     c0,
+    c0_q_v,
     estermann_at_zero,
     fractional_identity_check,
     mod_inverse,
@@ -74,6 +75,7 @@ __all__ = [
     "ReducedFraction",
     "SumValue",
     "c0",
+    "c0_q_v",
     "estermann_at_zero",
     "fractional_identity_check",
     "mod_inverse",

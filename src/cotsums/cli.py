@@ -58,12 +58,10 @@ def cmd_c0(args: argparse.Namespace) -> int:
     oracle = args.precision == "oracle"
     try:
         frac = core.ReducedFraction(args.r, args.b)
-        val = core.c0(frac, oracle=oracle)
+        val, qv, vv = core.c0_q_v(frac, oracle=oracle)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    qv = core.q_sum(frac, oracle=oracle)
-    vv = core.vasyunin(frac, oracle=oracle)
     re, im = core.estermann_at_zero(frac, val)
     label = f"{frac.r}/{frac.b}"
     print(f"c0({label}) = {_g17(val.value)} (err_bound {val.err_bound:.3g})")

@@ -5,9 +5,11 @@ with the Vasyunin sum V, the floor-weighted sum Q, the Estermann value at the
 origin, and two identity checks (a fractional-part identity and the
 reciprocity defect).  c0, Q and V come from one direct-sum kernel,
 `direct_sums`, at one residue or at an array of them (`cotsums.equidist`): it
-pairs the terms at k and b - k and reads the cot table in order over k < b/2,
-is serial, uses no BLAS, and gives a value the same bit for bit whatever
-batch computes it (same machine and numpy build).
+pairs the terms at k and b - k, sweeps k < b/2 once for every requested sum
+with cot(pi k/b) computed per cache-sized tile (no cot table), is serial,
+uses no BLAS, and gives a value the same bit for bit whatever batch or set
+of sums computes it (same machine and numpy build).  `c0_q_v` is that
+sweep at one fraction, as `cotsums c0` prints it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "SumValue",
     "mod_inverse",
     "c0",
+    "c0_q_v",
     "vasyunin",
     "q_sum",
     "direct_sums",
@@ -79,6 +82,13 @@ def mod_inverse(a: int, m: int) -> int:
     return pow(a, -1, m)
 
 
+def _cot(k, b: int, out: np.ndarray) -> np.ndarray:
+    # cot(pi k / b) into `out` as (k pi)/b, tan, 1/x: the same element operations
+    # wherever it runs, so the direct kernel's tiles equal `cot_table` bit for bit
+    np.divide(np.multiply(k, np.pi, out=out), b, out=out)
+    return np.divide(1.0, np.tan(out, out=out), out=out)
+
+
 @lru_cache(maxsize=64)
 def cot_table(b: int) -> np.ndarray:
     """cot(pi j / b) for j = 0..b-1, with the mirror half filled by negation.
@@ -86,13 +96,14 @@ def cot_table(b: int) -> np.ndarray:
     T[0] is never a valid index for a reduced fraction and is set to 0.
     T[b/2] (even b) is pinned to exactly 0 so that c0(1/2) comes out exact.
     The mirror fill T[b-j] = -T[j] makes oddness of c0 exact in floats.
+    The whole-modulus FFT (`cotsums.equidist`) and the fractional-part
+    identity read it; the direct kernel computes its cotangents per tile.
     """
     if b < 2:
         raise ValueError(f"b must be >= 2, got {b}")
     t = np.zeros(b)
     h = t[1 : (b + 1) // 2]  # j = 1..(b-1)//2, evaluated in place
-    np.divide(np.multiply(np.arange(1, len(h) + 1), np.pi, out=h), b, out=h)
-    np.divide(1.0, np.tan(h, out=h), out=h)
+    _cot(np.arange(1, len(h) + 1), b, h)
     np.negative(h[::-1], out=t[b // 2 + 1 :])
     t.flags.writeable = False
     return t
@@ -102,8 +113,15 @@ def cot_table(b: int) -> np.ndarray:
 # power table in `equidist`) cannot overflow: every factor is below b.
 _B_MAX = math.isqrt(2**63 - 1)
 
-# Cells (residue x m) per kernel block: a few MB of temporaries.
+# Cells (residue x k) per summation block: each row of a block sums one chunk.
 _CELLS = 1 << 18
+# The terms are formed in tiles of a block's residues x at most _TILE_K values
+# of k, so that a single residue's integer and cot temporaries stay in L2
+# cache; a block of at most _ONE_TILE cells is one tile, which saves calls.
+_TILE_K = 1 << 14
+_ONE_TILE = 1 << 16
+
+_ROWS = ("c0", "q", "v")
 
 
 def _check_modulus(b: int) -> None:
@@ -120,77 +138,128 @@ def _two_sum(a, c):
     return s, (a - (s - v)) + (c - v)
 
 
-def _two_sum_tree(t: np.ndarray):
-    # Pairwise tree of TwoSums along each row: (root, sum of every error).
-    lo = np.zeros(len(t))
-    while t.shape[1] > 1:
-        even = t.shape[1] & ~1
-        s, e = _two_sum(t[:, 0:even:2], t[:, 1:even:2])
+def _two_sum_tree(t: np.ndarray, spare: np.ndarray):
+    # Pairwise tree of TwoSums along each row of t: (root, sum of every error).
+    # Levels alternate between t's storage (overwritten) and spare[0]; spare[1]
+    # holds s - a and spare[2] the level's errors, as contiguous rows.  Each of
+    # the three flat buffers needs len(t) * ceil(t.shape[1] / 2) elements.
+    rows, n = t.shape
+    lo = np.zeros(rows)
+    cur, nxt = t.reshape(-1), spare[0]
+    while n > 1:
+        h = n // 2
+        t = cur[: rows * n].reshape(rows, n)
+        s = nxt[: rows * (n - h)].reshape(rows, n - h)
+        v, e = (x[: rows * h].reshape(rows, h) for x in spare[1:])
+        a, c = t[:, 0 : 2 * h : 2], t[:, 1 : 2 * h : 2]
+        np.subtract(np.add(a, c, out=s[:, :h]), a, out=v)
+        np.subtract(a, np.subtract(s[:, :h], v, out=e), out=e)
+        np.add(e, np.subtract(c, v, out=v), out=e)
         lo += np.add.reduce(e, axis=1)
-        t = np.concatenate([s, t[:, even:]], axis=1)
-    return t[:, 0], lo
+        s[:, h:] = t[:, 2 * h :]
+        cur, nxt, n = nxt, cur, n - h
+    return cur[:rows], lo
+
+
+def _mod_product(s, k, b: int, prod: np.ndarray, res: np.ndarray) -> np.ndarray:
+    # k s mod b into res: k s - b floor(k s / b) beats a remainder
+    np.multiply(s, k, out=prod)
+    np.floor_divide(prod, b, out=res)
+    return np.subtract(prod, np.multiply(res, b, out=res), out=res)
+
+
+def _fill(tile: dict, r, rbar, k, cot, b: int, prod, res) -> None:
+    # The terms of each row of `tile` at residues r (a column) and the k of a tile.
+    if "c0" in tile or "q" in tile:
+        m = _mod_product(rbar, k, b, prod, res)  # m_k, shared by c0 and q
+        if "q" in tile:
+            np.floor_divide(np.multiply(m, r, out=prod), b, out=prod)
+            np.subtract(np.left_shift(prod, 1, out=prod), r - 1, out=prod)
+            np.multiply(prod, cot, out=tile["q"])
+        if "c0" in tile:
+            np.subtract(b, np.left_shift(m, 1, out=m), out=m)
+            np.multiply(np.divide(m, b, out=tile["c0"]), cot, out=tile["c0"])
+    if "v" in tile:
+        kr = _mod_product(r, k, b, prod, res)
+        np.subtract(np.left_shift(kr, 1, out=kr), b, out=kr)
+        np.multiply(np.divide(kr, b, out=tile["v"]), cot, out=tile["v"])
 
 
 def direct_sums(rs, b: int, rows, *, oracle: bool = False):
     """The sums `rows` ("c0", "q", "v") at each unit r of `rs`, and max |term|.
 
-    The terms at m r = k and b - k (mod b) pair up, as T[b-k] = -T[k] in the cot
-    table T; so, with m_k = k rbar mod b, each sum reads T[k] in order over
-    k = 1..(b-1)//2, with integer weights divided or converted once:
-        c0: ((b - 2 m_k)/b) T[k],  q: (2 floor(m_k r / b) - r + 1) T[k],
-        v: ((2 (k r mod b) - b)/b) T[k],
+    The terms at m r = k and b - k (mod b) pair up, as cot(pi (b-k)/b) =
+    -cot(pi k/b); so, with m_k = k rbar mod b, each sum runs over
+    k = 1..(b-1)//2 with integer weights divided or converted once:
+        c0: ((b - 2 m_k)/b) cot(pi k/b),  q: (2 floor(m_k r / b) - r + 1) cot(pi k/b),
+        v: ((2 (k r mod b) - b)/b) cot(pi k/b),
     and c0(r/b) = -V(rbar/b), c0((b-r)/b) = -c0(r/b) hold bit for bit.
-    k runs in chunks whose bounds depend only on b.  A chunk row is summed
-    pairwise (`np.add.reduce`), or with `oracle` by a pairwise tree of TwoSums
-    plus their summed errors (after Sum2 of Ogita, Rump and Oishi, SIAM J. Sci.
+    k runs in chunks whose bounds depend only on b.  One sweep forms every
+    row's terms of a chunk in cache-sized tiles; a tile computes its
+    cotangents by the element operations of `cot_table` (no table is built
+    or read) and m_k once for the c0 and q rows.  So memory is bounded by a
+    chunk of terms per row, whatever b.  A chunk row is summed pairwise
+    (`np.add.reduce`), or with `oracle` by a pairwise tree of TwoSums plus
+    their summed errors (after Sum2 of Ogita, Rump and Oishi, SIAM J. Sci.
     Comput. 26, 2005); chunk results are added in k order by TwoSum.  So a
-    value does not depend on the other residues.  Both are (len(rows), len(rs)).
+    value does not depend on the other residues or rows.  Both results are
+    (len(rows), len(rs)); a name may appear in `rows` once.
     """
     rs = np.asarray(rs, dtype=np.int64)
     _check_modulus(b)
+    row = {name: i for i, name in enumerate(rows)}
+    if len(row) != len(rows) or not row.keys() <= set(_ROWS):
+        raise ValueError(f"rows must be distinct names from {_ROWS}, got {rows}")
     if np.any(bad := np.gcd(rs, b) != 1):
         raise ValueError(f"r={rs[bad][0]} is not a unit mod b={b}")
     rbar = np.array([pow(r, -1, b) for r in rs.tolist()], dtype=np.int64)
-    table = cot_table(b)
     half = (b - 1) // 2
     chunk = max(1, min(half, _CELLS))
     block = max(1, min(len(rs), _CELLS // chunk))
+    width = chunk if block * chunk <= _ONE_TILE else min(chunk, _TILE_K)
     # starting from +0.0 makes an empty or all-zero sum (c0(1/2), Q(1/b)) +0.0
     hi, lo, biggest = (np.zeros((len(rows), len(rs))) for _ in range(3))
-    # One buffer for every block: fresh block-sized temporaries would page-fault.
-    buf = np.empty((3, block * chunk), dtype=np.int64)
+    # Buffers allocated once: fresh block-sized temporaries would page-fault.
+    terms = np.empty((len(rows), block * chunk))
+    ints = np.empty((2, block * width), dtype=np.int64)
+    cbuf = np.empty(width)
+    spare = np.empty((3, block * (chunk - chunk // 2))) if oracle else None
     for k0 in range(1, half + 1, chunk):
-        k = np.arange(k0, min(k0 + chunk, half + 1), dtype=np.int64)
-        tk = table[k0 : k0 + len(k)]
+        n = min(chunk, half + 1 - k0)
         for start in range(0, len(rs), block):
             sl = slice(start, start + block)
             r = rs[sl, None]
-            prod, res, t = (x[: len(r) * len(k)].reshape(len(r), len(k)) for x in buf)
-            t = t.view(float)
-            for i, row in enumerate(rows):
-                # k s mod b, s = r (v) or rbar: k s - b floor(k s / b) beats a remainder
-                np.multiply(r if row == "v" else rbar[sl, None], k, out=prod)
-                np.floor_divide(prod, b, out=res)
-                np.subtract(prod, np.multiply(res, b, out=res), out=res)
-                if row == "q":  # res = m_k
-                    np.floor_divide(np.multiply(res, r, out=prod), b, out=prod)
-                    np.subtract(np.left_shift(prod, 1, out=prod), r - 1, out=prod)
-                    np.multiply(prod, tk, out=t)
-                else:
-                    np.left_shift(res, 1, out=res)
-                    np.subtract(res, b, out=res) if row == "v" else np.subtract(b, res, out=res)
-                    np.multiply(np.divide(res, b, out=t), tk, out=t)
-                big = np.maximum(np.abs(t.max(axis=1)), np.abs(t.min(axis=1)))
+            t = [x[: len(r) * n].reshape(len(r), n) for x in terms]
+            for j in range(0, n, width):
+                w = min(width, n - j)
+                k = np.arange(k0 + j, k0 + j + w, dtype=np.int64)
+                prod, res = (x[: len(r) * w].reshape(len(r), w) for x in ints)
+                tile = {name: t[i][:, j : j + w] for name, i in row.items()}
+                _fill(tile, r, rbar[sl, None], k, _cot(k, b, cbuf[:w]), b, prod, res)
+            for i, ti in enumerate(t):
+                big = np.maximum(np.abs(ti.max(axis=1)), np.abs(ti.min(axis=1)))
                 np.maximum(biggest[i, sl], big, out=biggest[i, sl])
-                h, l = _two_sum_tree(t) if oracle else (np.add.reduce(t, axis=1), 0.0)
+                h, l = _two_sum_tree(ti, spare) if oracle else (np.add.reduce(ti, axis=1), 0.0)
                 hi[i, sl], e = _two_sum(hi[i, sl], h)
                 lo[i, sl] += l + e
     return hi + lo, biggest
 
 
-def _one(f: ReducedFraction, row: str, oracle: bool) -> SumValue:
-    [[value]], [[biggest]] = direct_sums([f.r], f.b, (row,), oracle=oracle)
-    return SumValue(float(value), err_bound=(f.b - 1) * _EPS * float(biggest), terms=f.b - 1)
+def _values(f: ReducedFraction, rows, oracle: bool) -> tuple[SumValue, ...]:
+    values, biggest = direct_sums([f.r], f.b, rows, oracle=oracle)
+    return tuple(
+        SumValue(float(v), err_bound=(f.b - 1) * _EPS * float(m), terms=f.b - 1)
+        for [v], [m] in zip(values, biggest)
+    )
+
+
+def c0_q_v(f: ReducedFraction, oracle: bool = False) -> tuple[SumValue, SumValue, SumValue]:
+    """(c0, Q, V) at r/b from one sweep of `direct_sums`.
+
+    Each value, err_bound included, equals that of `c0`, `q_sum` or
+    `vasyunin` bit for bit; the sweep computes each cotangent and m_k once.
+    """
+    return _values(f, _ROWS, oracle)
 
 
 def c0(f: ReducedFraction, oracle: bool = False) -> SumValue:
@@ -200,7 +269,7 @@ def c0(f: ReducedFraction, oracle: bool = False) -> SumValue:
     The terms near k = 1 reach ~b/pi, which dominates err_bound = (b-1) eps
     max|term|.  oracle=True sums the same terms by error-free TwoSums.
     """
-    return _one(f, "c0", oracle)
+    return _values(f, ("c0",), oracle)[0]
 
 
 def vasyunin(f: ReducedFraction, oracle: bool = False) -> SumValue:
@@ -209,7 +278,7 @@ def vasyunin(f: ReducedFraction, oracle: bool = False) -> SumValue:
     Summed as sum_{k<b/2} ((2 (k r mod b) - b)/b) cot(pi k/b), which makes
     V(r/b) = -c0(rbar/b), r*rbar == 1 (mod b), hold bit for bit.
     """
-    return _one(f, "v", oracle)
+    return _values(f, ("v",), oracle)[0]
 
 
 def q_sum(f: ReducedFraction, oracle: bool = False) -> SumValue:
@@ -219,7 +288,7 @@ def q_sum(f: ReducedFraction, oracle: bool = False) -> SumValue:
     mod b.  Links the general value to the r = 1 case:
     c0(r/b) = (1/r) c0(1/b) - (1/r) Q(r/b).
     """
-    return _one(f, "q", oracle)
+    return _values(f, ("q",), oracle)[0]
 
 
 def estermann_at_zero(f: ReducedFraction, value: SumValue | None = None) -> tuple[float, float]:

@@ -226,8 +226,9 @@ def _small_part(e: int) -> np.ndarray:
     return part
 
 
-def _c0_fft(b: int) -> np.ndarray:
-    """c0(r/b) at index r of a length-b array, for every b >= 2 (0 where gcd(r, b) > 1).
+def _c0_fft(b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c0 by r, units) for every b >= 2: c0(r/b) at index r of a length-b
+    array (0 where gcd(r, b) > 1), and the units mod b in index-map order.
 
     Write d = gcd(m, b) and e = b/d: the term of m is -(1/e) m' cot(pi m' r/e)
     with m = d m' and m' a unit mod e, so
@@ -248,14 +249,21 @@ def _c0_fft(b: int) -> np.ndarray:
             acc += part[units % e]
     out = np.zeros(b)
     out[units] = acc
-    return out
+    return out, units
 
 
 def batch_c0(b: int):
-    """(r, c0(r/b)) for every r in 1..b-1 coprime to b: a slice of `_c0_fft(b)`."""
+    """(r, c0(r/b)) for every r in 1..b-1 coprime to b: a slice of `_c0_fft(b)`.
+
+    The units come from the FFT's index map, sorted by a mask: c0 itself can
+    be 0 at a unit (c0(1/2) = 0).
+    """
     _check_modulus(b)
-    rs = _coprime(1, b - 1, b)
-    return rs, _c0_fft(b)[rs]
+    by_r, units = _c0_fft(b)
+    is_unit = np.zeros(b, dtype=bool)
+    is_unit[units] = True
+    rs = np.flatnonzero(is_unit)
+    return rs, by_r[rs]
 
 
 def scan_arrays(window: ScanWindow):
@@ -265,7 +273,7 @@ def scan_arrays(window: ScanWindow):
     Q = c0(1/b) - r c0(r/b) comes from the same table.
     """
     rs = window_residues(window)
-    by_r = _c0_fft(window.b)
+    by_r, _ = _c0_fft(window.b)
     c0 = by_r[rs]
     return rs, c0, by_r[1] - rs * c0
 

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +50,28 @@ class TestC0Command:
     def test_rejects_modulus_past_int64_products(self, capsys):
         assert run(["c0", "--r", "1", "--b", "3037000500"]) == 2
         assert "b <= 3037000499 required" in capsys.readouterr().err
+
+
+def _golden_cases():
+    # "$ cotsums <argv>" lines of the golden file, each with the stdout after it
+    cases = []
+    path = Path(__file__).parent / "data" / "c0_golden.txt"
+    for line in path.read_text(encoding="utf-8").splitlines(keepends=True):
+        if line.startswith("$ cotsums "):
+            cases.append((line.split()[2:], []))
+        elif not line.startswith("#"):
+            cases[-1][1].append(line)
+    return [pytest.param(argv, "".join(out), id=" ".join(argv[1:])) for argv, out in cases]
+
+
+class TestC0Golden:
+    # b = 2..105, composite 30030 at r = 1 and b - 1, primes with 1, 2 and 4
+    # chunks of the direct kernel (10007, 524309, 2097143) and the benchmark's
+    # point values, in both precisions
+    @pytest.mark.parametrize("argv,want", _golden_cases())
+    def test_stdout_is_byte_identical(self, capsys, argv, want):
+        assert run(argv) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestScanFigure:

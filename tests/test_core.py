@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -85,6 +86,100 @@ class TestDirectSums:
         [mirror], _ = core.direct_sums(b - rs, b, ("c0",), oracle=oracle)
         assert np.array_equal(c0v, -v)
         assert np.array_equal(c0v, -mirror)
+
+
+    @pytest.mark.parametrize("rows", [("c0", "c0"), ("q", "x"), ("w",)])
+    def test_rejects_bad_rows(self, rows):
+        with pytest.raises(ValueError, match="distinct names"):
+            core.direct_sums([1], 7, rows)
+
+
+def _allocating_tree(t):
+    # reference: the TwoSum tree that concatenates a new array on every level
+    lo = np.zeros(len(t))
+    while t.shape[1] > 1:
+        even = t.shape[1] & ~1
+        s, e = core._two_sum(t[:, 0:even:2], t[:, 1:even:2])
+        lo += np.add.reduce(e, axis=1)
+        t = np.concatenate([s, t[:, even:]], axis=1)
+    return t[:, 0], lo
+
+
+class TestFusedSweep:
+    """One sweep of `direct_sums` serves every row, from cotangents it computes per tile."""
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    @pytest.mark.parametrize(
+        "b,rs",
+        [
+            (3001, list(range(1, 3001))),  # 18 blocks of 174 residues, one chunk
+            (30030, [1, 17, 4097, 15013, 30029]),  # composite
+            (524309, [1, 2, 131077, 400000]),  # two chunks
+            (1500007, [3, 750004]),  # three
+            (2097143, [987654]),  # four
+        ],
+    )
+    def test_rows_equal_one_row_calls_bit_for_bit(self, b, rs, oracle):
+        fused, fused_big = core.direct_sums(rs, b, ("c0", "q", "v"), oracle=oracle)
+        for i, row in enumerate(("c0", "q", "v")):
+            [one], [one_big] = core.direct_sums(rs, b, (row,), oracle=oracle)
+            assert np.array_equal(fused[i], one), row
+            assert np.array_equal(np.signbit(fused[i]), np.signbit(one)), row
+            assert np.array_equal(fused_big[i], one_big), row
+        pair, _ = core.direct_sums(rs, b, ("v", "c0"), oracle=oracle)
+        assert np.array_equal(pair, fused[[2, 0]])
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_c0_q_v_equals_the_one_row_entries(self, oracle):
+        for r, b in ((1, 2), (2, 3), (1, 105), (26, 105), (412650, 1000003)):
+            f = ReducedFraction(r, b)
+            want = tuple(fn(f, oracle=oracle) for fn in (c0, q_sum, vasyunin))
+            assert core.c0_q_v(f, oracle=oracle) == want
+
+    def test_tile_cotangents_equal_the_table(self):
+        # the kernel's tiles start at 1 + 2^14 j within chunks of 2^18 k
+        b = 1_000_003
+        table = core.cot_table(b)
+        for a, w in ((1, 1 << 14), (1 + (1 << 14), 1 << 14), (1 + (1 << 18), 1 << 14),
+                     (491521, 8481), (1, 7), (12345, 3)):
+            got = core._cot(np.arange(a, a + w), b, np.empty(w))
+            assert np.array_equal(got, table[a : a + w]), a
+
+    def test_builds_and_reads_no_cot_table(self):
+        before = core.cot_table.cache_info()
+        f = ReducedFraction(5, 1009)
+        for fn in (c0, q_sum, vasyunin):
+            fn(f)
+        core.direct_sums([1, 5, 7], 1009, ("c0", "q", "v"), oracle=True)
+        assert core.cot_table.cache_info() == before
+        core.c0_q_v(f)
+        assert core.cot_table.cache_info() == before
+
+    def test_memory_of_a_point_value_is_bounded_by_a_chunk(self):
+        # a cot table at this b alone would take 16 MB; a chunk of terms is 2 MB
+        tracemalloc.start()
+        try:
+            c0(ReducedFraction(1, 2_000_003))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 << 20
+
+
+class TestTwoSumTree:
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize(
+        "n", [*range(1, 10), *(2**k + d for k in range(4, 13) for d in (-1, 1))]
+    )
+    def test_in_place_tree_equals_allocating_tree(self, n, rows):
+        # terms of mixed signs across 40 binades make every level carry errors
+        rng = np.random.default_rng(n)
+        t = rng.standard_normal((rows, n)) * 2.0 ** rng.integers(-20, 20, (rows, n))
+        want_root, want_lo = _allocating_tree(t)
+        spare = np.empty((3, rows * (n - n // 2)))
+        root, lo = core._two_sum_tree(t.copy(), spare)
+        assert np.array_equal(root, want_root)
+        assert np.array_equal(lo, want_lo)
 
 
 class TestReducedFraction:

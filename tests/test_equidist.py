@@ -83,6 +83,14 @@ class TestBatchC0:
     def test_fft_route_within_err_bound_near_1e5(self, r):
         self._assert_fft_within_bound(99991, r)
 
+    def test_units_ascend_and_match_gcd_listing(self):
+        # taken from the FFT's index map; b = 2 has c0(1/2) = 0 at the unit 1
+        for b in [*range(2, 130), 4096, 30030]:
+            rs, c0v = equidist.batch_c0(b)
+            assert rs.dtype == np.int64, b
+            assert np.array_equal(rs, equidist._coprime(1, b - 1, b)), b
+            assert len(c0v) == len(rs), b
+
     def test_v_column_matches_scalar_vasyunin(self):
         for r, b in ((3, 7), (5, 97), (7, 100), (45, 101), (700, 1009)):
             rs, _, vv, _ = equidist.batch_c0_vq(b)
@@ -105,7 +113,7 @@ class TestBatchC0:
         # (b - 1)/2 exceeds one chunk of the direct kernel, so partials are joined;
         # a batch value must not depend on the other residues of the batch
         p = 524309  # (p - 1)/2 = 262154 paired terms, more than one chunk of 2^18
-        by_r = equidist._c0_fft(p)
+        by_r, _ = equidist._c0_fft(p)
         rs = (1, 2, 131077, 262154, 393231, 524308)
         batch, _ = direct_sums(rs, p, ("c0", "q", "v"), oracle=oracle)
         for i, r in enumerate(rs):
@@ -132,7 +140,7 @@ class TestUnitGroupFFT:
     # powers (one lifted generator).
     @pytest.mark.parametrize("b", [486, 30030, 420, 4096, 360, 2187, 1331])
     def test_composite_within_err_bound(self, b):
-        by_r = equidist._c0_fft(b)
+        by_r, _ = equidist._c0_fft(b)
         rs = equidist._coprime(1, b - 1, b)
         if len(rs) > 200:
             rs = rs[np.linspace(0, len(rs) - 1, 8).astype(int)]
@@ -169,7 +177,7 @@ class TestUnitGroupFFT:
     @pytest.mark.parametrize("b", [99991, 100000, 90090])
     def test_identities_near_1e5(self, b):
         rs, c0v = equidist.batch_c0(b)
-        by_r = equidist._c0_fft(b)
+        by_r, _ = equidist._c0_fft(b)
         # Oddness at every unit.  Each c0 sum has a term of size about
         # cot(pi/b)/2 or more (where m r = +-1), so the bounds of a pair add up
         # to at least the bound at r = 1, whose largest term is about cot(pi/b).
