@@ -5,13 +5,15 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 Output files land in the directory named by the COTSUMS_OUTDIR environment
 variable (falling back to the working directory) unless an explicit path is
 given.  All numbers are serialized with 17 significant digits, CSV with
-plain decimal points, line-feed newlines, and a header row.
+plain decimal points, line-feed newlines, and a header row.  Every table
+goes through one writer, `_write_table`, which formats its rows in blocks
+of at most 2**16 by one `%` each, so memory is bounded by a block rather
+than by the table.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -32,11 +34,33 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
+# Rows formatted per `%` in `_write_table`: about 8 MB of strings and
+# Python numbers for an (r, c0) table, whatever its length.
+_BLOCK_ROWS = 1 << 16
+_R_C0 = "%d,%.17g\n"
+
+
+def _write_table(path: str, header: tuple[str, ...], row: str | list[str], *columns) -> None:
+    """Write a CSV table: the header, then row i filled from `columns[*][i]`.
+
+    `row` is the %-template of every row ("%d,%.17g\n"), or a list of one
+    template per row.  Each block of at most `_BLOCK_ROWS` rows is one `%`
+    of its templates over its values, interleaved row by row from the
+    columns' `tolist()`.  `'%.17g' % x` is `format(x, '.17g')` for every
+    float (-0.0 prints -0), `%d` of an int is `str`, and no field needs
+    CSV quoting.
+    """
+    n = len(columns[0])
+    width = len(columns)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n)
+            values = [None] * ((hi - lo) * width)
+            for j, col in enumerate(columns):
+                values[j::width] = col[lo:hi].tolist()
+            template = row * (hi - lo) if isinstance(row, str) else "".join(row[lo:hi])
+            fh.write(template % tuple(values))
 
 
 def report_to_dict(rep: equidist.ScanReport) -> dict:
@@ -78,18 +102,23 @@ def cmd_scan(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        rows = [[str(int(r)), _g17(v)] for r, v in zip(rs.tolist(), c0v.tolist())]
         path = _out_path(args.output, f"figure_b{args.b}.csv")
         try:
-            _write_csv(path, ["r", "c0"], rows)
+            _write_table(path, ("r", "c0"), _R_C0, rs, c0v)
         except OSError as exc:
             print(f"error: cannot write {path}: {exc}", file=sys.stderr)
             return 3
-        print(f"wrote {len(rows)} rows to {path}")
+        print(f"wrote {len(rs)} rows to {path}")
         return 0
 
     if args.a0 is None or args.a1 is None:
         print("error: moment mode needs --a0 and --a1 (or use --figure)", file=sys.stderr)
+        return 2
+    csv_path = _out_path(args.output, f"scan_b{args.b}.csv")
+    json_path = os.path.splitext(csv_path)[0] + ".json"
+    if args.format is None and csv_path == json_path:
+        print(f"error: --output {args.output} names both the CSV and the JSON report; "
+              "pass --format, or a name not ending in .json", file=sys.stderr)
         return 2
     try:
         window = equidist.ScanWindow(args.b, args.a0, args.a1)
@@ -97,14 +126,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rs, c0v = rep.residues, rep.c0_values
-    csv_path = _out_path(args.output, f"scan_b{args.b}.csv")
-    json_path = os.path.splitext(csv_path)[0] + ".json"
     try:
         if args.format in (None, "csv"):
-            rows = [[str(int(r)), _g17(v)] for r, v in zip(rs.tolist(), c0v.tolist())]
-            _write_csv(csv_path, ["r", "c0"], rows)
-            print(f"wrote {len(rs)} rows to {csv_path}")
+            _write_table(csv_path, ("r", "c0"), _R_C0, rep.residues, rep.c0_values)
+            print(f"wrote {len(rep.residues)} rows to {csv_path}")
         if args.format in (None, "json"):
             with open(json_path, "w", encoding="utf-8") as fh:
                 json.dump(report_to_dict(rep), fh, indent=2)
@@ -136,32 +161,26 @@ def cmd_asympt(args: argparse.Namespace) -> int:
     if fault:
         print(f"error: {fault}", file=sys.stderr)
         return 2
-    rows = []
-    for b in blist:
-        exact = core.c0(core.ReducedFraction(1, b)).value
+    exact, main, residual, scaled = (np.full(len(blist), math.nan) for _ in range(4))
+    # the flagged rows' template: `%.0s` prints its field empty
+    row = ["%d,%.17g,%.0s,%.0s,%.0s\n"] * len(blist)
+    for i, b in enumerate(blist):
+        exact[i] = core.c0(core.ReducedFraction(1, b)).value
         try:
-            approx, _ = asymptotics.c0_asymptotic(b, args.n)
+            main[i], _ = asymptotics.c0_asymptotic(b, args.n)
         except ValueError:
-            # below the validity threshold: flagged, not fatal
-            rows.append([str(b), _g17(exact), "", "", ""])
-            continue
-        residual = exact - approx
-        rows.append(
-            [
-                str(b),
-                _g17(exact),
-                _g17(approx),
-                _g17(residual),
-                _g17(residual * float(b) ** (args.n + 1)),
-            ]
-        )
+            continue  # below the validity threshold: flagged, not fatal
+        residual[i] = exact[i] - main[i]
+        scaled[i] = residual[i] * float(b) ** (args.n + 1)
+        row[i] = "%d,%.17g,%.17g,%.17g,%.17g\n"
     path = _out_path(args.output, f"asympt_n{args.n}.csv")
+    header = ("b", "exact", "main", "residual", "scaled_residual")
     try:
-        _write_csv(path, ["b", "exact", "main", "residual", "scaled_residual"], rows)
+        _write_table(path, header, row, np.array(blist), exact, main, residual, scaled)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return 3
-    print(f"wrote {len(rows)} rows to {path}")
+    print(f"wrote {len(blist)} rows to {path}")
     return 0
 
 

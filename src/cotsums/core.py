@@ -89,15 +89,14 @@ def _cot(k, b: int, out: np.ndarray) -> np.ndarray:
     return np.divide(1.0, np.tan(out, out=out), out=out)
 
 
-@lru_cache(maxsize=64)
-def cot_table(b: int) -> np.ndarray:
+def _cot_values(b: int) -> np.ndarray:
     """cot(pi j / b) for j = 0..b-1, with the mirror half filled by negation.
 
     T[0] is never a valid index for a reduced fraction and is set to 0.
     T[b/2] (even b) is pinned to exactly 0 so that c0(1/2) comes out exact.
     The mirror fill T[b-j] = -T[j] makes oddness of c0 exact in floats.
-    The whole-modulus FFT (`cotsums.equidist`) and the fractional-part
-    identity read it; the direct kernel computes its cotangents per tile.
+    Uncached: the whole-modulus FFT (`cotsums.equidist`) builds one per
+    divisor and drops it, which a small LRU would only churn through.
     """
     if b < 2:
         raise ValueError(f"b must be >= 2, got {b}")
@@ -105,6 +104,14 @@ def cot_table(b: int) -> np.ndarray:
     h = t[1 : (b + 1) // 2]  # j = 1..(b-1)//2, evaluated in place
     _cot(np.arange(1, len(h) + 1), b, h)
     np.negative(h[::-1], out=t[b // 2 + 1 :])
+    return t
+
+
+@lru_cache(maxsize=64)
+def cot_table(b: int) -> np.ndarray:
+    """`_cot_values(b)`, cached and read-only: the fractional-part identity
+    reads it; the direct kernel computes its cotangents per tile."""
+    t = _cot_values(b)
     t.flags.writeable = False
     return t
 

@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _B_MAX, _check_modulus, cot_table, direct_sums
+from .core import _B_MAX, _check_modulus, _cot_values, direct_sums
 from .gseries import EmpiricalCDF, TruncatedGSeries
 
 __all__ = [
@@ -193,7 +193,7 @@ def _c0_star(e: int) -> tuple[np.ndarray, np.ndarray]:
     if units.ndim <= 1:
         pw = units.reshape(-1)
         n = len(pw)
-        cots = cot_table(e)[pw]
+        cots = _cot_values(e)[pw]
         size = 1 << (2 * n - 2).bit_length()
         spectrum = np.conj(np.fft.rfft(pw.astype(float), size))
         spectrum *= np.fft.rfft(np.concatenate([cots, cots[: n - 1]]), size)
@@ -201,7 +201,7 @@ def _c0_star(e: int) -> tuple[np.ndarray, np.ndarray]:
     else:
         axes = tuple(range(units.ndim))
         spectrum = np.conj(np.fft.rfftn(units.astype(float), axes=axes))
-        spectrum *= np.fft.rfftn(cot_table(e)[units], axes=axes)
+        spectrum *= np.fft.rfftn(_cot_values(e)[units], axes=axes)
         corr = np.fft.irfftn(spectrum, units.shape, axes=axes).reshape(-1)
     return units.reshape(-1), -corr / e
 

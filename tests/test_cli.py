@@ -1,7 +1,10 @@
 import csv
+import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cotsums import cli
@@ -74,6 +77,68 @@ class TestC0Golden:
         assert capsys.readouterr().out == want
 
 
+GOLDEN = Path(__file__).parent / "data" / "cli_golden"
+_WINDOW = ["--a0", "0.6", "--a1", "0.8", "--kmax", "3", "--deterministic"]
+_TABLE_CASES = [
+    pytest.param(argv, names, id=names[0])
+    for argv, names in [(["scan", "--b", b, "--figure"], [f"figure_b{b}.csv"])
+                        for b in ("2", "3", "4", "6", "757", "30030", "100003")]
+    + [(["scan", "--b", b, *_WINDOW], [f"scan_b{b}.csv", f"scan_b{b}.json"])
+       for b in ("1009", "30030", "100003")]
+    + [(["asympt", "--n", "1", "--b-list", "2,3,5,6,7,100,1000,12345"], ["asympt_n1.csv"])]
+]
+
+
+def _assert_golden(name, data):
+    # the small outputs are checked in whole, the large ones as sha256 and length
+    if (GOLDEN / name).exists():
+        assert data == (GOLDEN / name).read_bytes()
+    else:
+        want = json.loads((GOLDEN / "digests.json").read_text(encoding="utf-8"))[name]
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (want["bytes"], want["sha256"])
+
+
+class TestTableGolden:
+    """Every CLI table byte for byte as the per-row csv.writer wrote it."""
+
+    @pytest.mark.parametrize("argv,names", _TABLE_CASES)
+    def test_output_is_byte_identical(self, tmp_path, monkeypatch, capsys, argv, names):
+        monkeypatch.setenv("COTSUMS_OUTDIR", str(tmp_path))
+        assert run(argv) == 0
+        capsys.readouterr()
+        for name in names:
+            _assert_golden(name, (tmp_path / name).read_bytes())
+
+    def test_table_across_a_block_boundary(self, tmp_path):
+        # one row past the first block; -0.0 at r = 32768 prints -0.  The
+        # reference is the per-row csv.writer of format(v, ".17g")
+        r = np.arange(1, cli._BLOCK_ROWS + 2)
+        v = (r - 32768.0) / -7.0
+        path = tmp_path / "block_table.csv"
+        cli._write_table(str(path), ("r", "c0"), "%d,%.17g\n", r, v)
+        ref = tmp_path / "reference.csv"
+        with open(ref, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["r", "c0"])
+            w.writerows([str(a), format(x, ".17g")] for a, x in zip(r.tolist(), v.tolist()))
+        assert path.read_bytes() == ref.read_bytes()
+        _assert_golden("block_table.csv", path.read_bytes())
+
+    def test_memory_is_bounded_by_a_block(self, tmp_path):
+        # per-row string lists of these 10^6 rows took about 200 MB
+        r = np.arange(1, 1_000_001)
+        v = np.sqrt(r.astype(float))
+        tracemalloc.start()
+        try:
+            cli._write_table(str(tmp_path / "big.csv"), ("r", "c0"), "%d,%.17g\n", r, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        with open(tmp_path / "big.csv", "rb") as fh:
+            assert sum(1 for _ in fh) == 1_000_001
+
+
 class TestScanFigure:
     @pytest.mark.parametrize("b,nrows", [(757, 756), (946, 420)])
     def test_row_count_is_phi(self, tmp_path, capsys, b, nrows):
@@ -91,6 +156,13 @@ class TestScanFigure:
     def test_invalid_modulus_is_usage_error(self, capsys, b):
         assert run(["scan", "--b", b, "--figure"]) == 2
         assert capsys.readouterr().err.startswith("error: b ")
+
+    def test_write_failure_is_io_error(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("x")
+        out = blocker / "sub" / "fig.csv"
+        assert run(["scan", "--b", "101", "--figure", "--output", str(out)]) == 3
+        assert "cannot write" in capsys.readouterr().err
 
 
 class TestScanMoments:
@@ -159,6 +231,30 @@ class TestScanMoments:
         capsys.readouterr()
         assert not out.exists()
         assert (tmp_path / "only.json").exists()
+
+    def test_json_output_name_without_format_is_usage_error(self, tmp_path, capsys):
+        # the CSV and the JSON report would both go to X.json
+        out = tmp_path / "X.json"
+        assert run(["scan", "--b", "1009", *_WINDOW, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "X.json" in err and "both" in err
+        assert not out.exists()
+
+    def test_json_output_name_with_format(self, tmp_path, capsys):
+        out = tmp_path / "X.json"
+        assert run(["scan", "--b", "1009", *_WINDOW, "--format", "json", "--output", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["count"] == 202
+        assert run(["scan", "--b", "1009", *_WINDOW, "--format", "csv", "--output", str(out)]) == 0
+        capsys.readouterr()
+        header, rows = read_csv(out)
+        assert header == ["r", "c0"] and len(rows) == 202
+
+    def test_write_failure_is_io_error(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("x")
+        out = blocker / "sub" / "scan.csv"
+        assert run(["scan", "--b", "1009", *_WINDOW, "--output", str(out)]) == 3
+        assert "cannot write" in capsys.readouterr().err
 
     def test_moment_mode_requires_bounds(self, capsys):
         assert run(["scan", "--b", "101"]) == 2

@@ -131,6 +131,13 @@ class TestBatchC0:
                 fn(equidist._B_MAX + 1)
         assert cot_table.cache_info().misses == misses
 
+    def test_leaves_the_cot_table_cache_alone(self):
+        # the FFT builds one cot table per divisor e > 2 (62 at 30030) and
+        # drops it; through the 64-entry LRU they evicted one another
+        before = cot_table.cache_info()
+        equidist.batch_c0(30030)
+        assert cot_table.cache_info() == before
+
 
 class TestUnitGroupFFT:
     """`_c0_fft` at composite b: a divisor split, one unit-group correlation each."""
