@@ -50,6 +50,7 @@ __all__ = [
 
 GAMMA = 0.5772156649015328606
 _LOG2PI = math.log(2.0 * math.pi)
+_MAX_ORDER = 60  # of the expansion; E_l needs B_(l+1) at odd l, so also `bernoulli`'s limit
 
 
 @lru_cache(maxsize=None)
@@ -69,7 +70,7 @@ def bernoulli(n: int) -> float:
     Odd n > 1 returns exactly 0.  Even n is limited to n <= 60; beyond that
     the magnitudes are outside what this library ever needs.
     """
-    if n < 1 or n > 60:
+    if n < 1 or n > _MAX_ORDER:
         raise ValueError(f"Bernoulli index out of supported range: {n}")
     if n % 2 == 1:
         return -0.5 if n == 1 else 0.0

@@ -146,8 +146,8 @@ def cmd_asympt(args: argparse.Namespace) -> int:
         blist = [int(x) for x in args.b_list.split(",")]
     except ValueError:
         blist = None
-    if args.n < 0:
-        fault = "--n must be >= 0"
+    if not 0 <= args.n <= asymptotics._MAX_ORDER:
+        fault = f"--n must be in 0..{asymptotics._MAX_ORDER}"
     elif blist is None:
         fault = "--b-list must be comma-separated integers"
     elif min(blist) < 2:
@@ -156,6 +156,8 @@ def cmd_asympt(args: argparse.Namespace) -> int:
         fault = f"--b-list moduli must be <= {core._B_MAX}"
     elif any(y <= x for x, y in zip(blist, blist[1:])):
         fault = "--b-list must be strictly ascending"
+    elif blist[-1] ** (args.n + 1) > sys.float_info.max:  # scaled_residual's factor, exact
+        fault = f"b^(n+1) exceeds the float maximum {sys.float_info.max:.3g} at b = {blist[-1]}"
     else:
         fault = None
     if fault:

@@ -124,9 +124,8 @@ _B_MAX = math.isqrt(2**63 - 1)
 _CELLS = 1 << 18
 # The terms are formed in tiles of a block's residues x at most _TILE_K values
 # of k, so that a single residue's integer and cot temporaries stay in L2
-# cache; a block of at most _ONE_TILE cells is one tile, which saves calls.
+# cache; tiles do not enter the sums, so the values do not depend on them.
 _TILE_K = 1 << 14
-_ONE_TILE = 1 << 16
 
 _ROWS = ("c0", "q", "v")
 
@@ -223,7 +222,7 @@ def direct_sums(rs, b: int, rows, *, oracle: bool = False):
     half = (b - 1) // 2
     chunk = max(1, min(half, _CELLS))
     block = max(1, min(len(rs), _CELLS // chunk))
-    width = chunk if block * chunk <= _ONE_TILE else min(chunk, _TILE_K)
+    width = min(chunk, _TILE_K)
     # starting from +0.0 makes an empty or all-zero sum (c0(1/2), Q(1/b)) +0.0
     hi, lo, biggest = (np.zeros((len(rows), len(rs))) for _ in range(3))
     # Buffers allocated once: fresh block-sized temporaries would page-fault.

@@ -167,7 +167,6 @@ def _fourier_offset_grid(n: int, c: float, M: int) -> np.ndarray:
     return np.fft.ifft(folded).imag * n
 
 
-@lru_cache(maxsize=8)
 def _tau(limit: int, cap: int | None = None) -> np.ndarray:
     # counts of the divisors <= cap of 1..limit, index 0 unused: one slice per
     # divisor up to isqrt(limit), then one per cofactor j of the larger ones
@@ -178,7 +177,6 @@ def _tau(limit: int, cap: int | None = None) -> np.ndarray:
         d[l::l] += 1
     for j in range(1, limit // (s + 1) + 1):
         d[j * (s + 1) : j * cap + 1 : j] += 1
-    d.flags.writeable = False
     return d
 
 

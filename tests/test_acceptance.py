@@ -2,7 +2,9 @@
 
 Each test prints a single `criterion N: PASS/FAIL - ...` line on the real
 stdout (past pytest's capture) so the gate is auditable from the raw log,
-then asserts.  Tolerances and time budgets are stated inline.
+then asserts.  Tolerances and time budgets are stated inline.  Criteria 1,
+2, 3 and 8 run the `cotsums verify` suite they gate (identities, closed,
+asympt, expsums), so each of those checks is implemented once.
 """
 
 import math
@@ -10,7 +12,7 @@ import time
 
 import numpy as np
 
-from cotsums import asymptotics, cli, core, equidist, gseries
+from cotsums import asymptotics, cli, gseries
 
 LADDER = (1009, 2003, 5003, 10007)
 
@@ -21,63 +23,32 @@ def _line(capsys, n, ok, detail):
     assert ok, f"criterion {n}: {detail}"
 
 
-def test_criterion_01_identity_suite(capsys):
+def _suite_gate(capsys, n, suite, tol, budget, *flags):
+    # `cotsums verify --suite <suite> <flags>` passes within `tol` and `budget`
+    args = cli.build_parser().parse_args(["verify", "--suite", suite, *flags])
     tic = time.perf_counter()
-    worst = 0.0
-    for b in range(2, 501):
-        rs, c0v, vv, qv = equidist.batch_c0_vq(b)
-        pos = np.full(b, -1, dtype=np.int64)
-        pos[rs] = np.arange(len(rs))
-        rbar = np.array([pow(int(r), -1, b) for r in rs.tolist()], dtype=np.int64)
-        denom = np.maximum(1.0, np.abs(c0v))
-        worst = max(worst, float(np.max(np.abs(vv + c0v[pos[rbar]]) / denom)))
-        c0_one = c0v[pos[1]]
-        worst = max(worst, float(np.max(np.abs(c0v - (c0_one - qv) / rs) / denom)))
-        worst = max(worst, float(np.max(np.abs(c0v[pos[(b - rs) % b]] + c0v) / denom)))
+    ok, worst, detail = cli._SUITE_FUNCS[suite](args)
     wall = time.perf_counter() - tic
-    ok = worst < 1e-6 and wall < 60.0
-    _line(
-        capsys,
-        1,
-        ok,
-        f"inverse/decomposition/oddness for all r, b <= 500: "
-        f"worst rel {worst:.3g} (< 1e-6) in {wall:.1f}s (< 60s)",
-    )
+    detail += f"; worst residual {worst:.3g} (< {tol:g}) in {wall:.1f}s (< {budget:g}s)"
+    _line(capsys, n, ok and worst < tol and wall < budget, f"verify --suite {suite}: {detail}")
+
+
+def test_criterion_01_identity_suite(capsys):
+    # V(r/b) = -c0(rbar/b), c0(r/b) = (c0(1/b) - Q(r/b))/r and oddness for
+    # every unit r, b <= 500, relative to max(1, |c0|)
+    _suite_gate(capsys, 1, "identities", 1e-6, 60.0, "--bmax", "500")
 
 
 def test_criterion_02_closed_forms(capsys):
-    half = core.c0(core.ReducedFraction(1, 2)).value
-    third_gap = abs(core.c0(core.ReducedFraction(1, 3)).value - math.sqrt(3.0) / 9.0)
-    q_zero = all(
-        core.q_sum(core.ReducedFraction(1, b)).value == 0.0 for b in range(2, 1001)
-    )
-    ok = half == 0.0 and third_gap < 1e-12 and q_zero
-    _line(
-        capsys,
-        2,
-        ok,
-        f"c0(1/2) = {half!r} (exact 0), |c0(1/3) - sqrt(3)/9| = {third_gap:.2e} "
-        f"(< 1e-12), Q(1/b) = 0 exactly for b <= 1000: {q_zero}",
-    )
+    # c0(1/2) = 0 and Q(1/b) = 0 exactly for b <= 1000; c0(1/3) = sqrt(3)/9
+    # and the Estermann pair at 1/3 = (1/4, sqrt(3)/18) within the tolerance
+    _suite_gate(capsys, 2, "closed", 1e-12, 60.0)
 
 
 def test_criterion_03_residual_ladder(capsys):
-    bs = (200, 400, 800, 1600, 3200)
-    exact = {b: core.c0(core.ReducedFraction(1, b)).value for b in bs}
-    scaled0 = [abs(exact[b] - asymptotics.c0_asymptotic(b, 0)[0]) * b for b in bs]
-    variation = max(scaled0) / min(scaled0)
-    raw0 = scaled0[-1] / 3200.0
-    raw1 = abs(exact[3200] - asymptotics.c0_asymptotic(3200, 1)[0])
-    # raw1 is about 1 ulp of c0(1/3200) and may round to exactly 0
-    reduction = raw0 / raw1 if raw1 else math.inf
-    ok = variation < 3.0 and raw0 >= 10.0 * raw1
-    _line(
-        capsys,
-        3,
-        ok,
-        f"order-0 scaled residual variation {variation:.6f} over b = 200..3200 (< 3), "
-        f"order-1 residual reduction at 3200: {reduction:.2e}x (>= 10)",
-    )
+    # b = 200..3200: order-0 scaled residuals vary by < 3x (worst = factor - 1), order 1
+    # cuts the raw residual at 3200 at least tenfold, order-2 scaled residuals <= 0.5
+    _suite_gate(capsys, 3, "asympt", 2.0, 60.0)
 
 
 def test_criterion_04_slope_cross_validation(capsys):
@@ -170,41 +141,9 @@ def test_criterion_07_series_machinery(capsys, l2_pair, hk14):
 
 
 def test_criterion_08_exponential_sums(capsys):
-    ns = np.arange(-100, 101, dtype=np.int64)
-    exact = True
-    worst = 0.0
-    for q in range(1, 101):
-        units = np.array(
-            [r for r in range(1, q + 1) if math.gcd(r, q) == 1], dtype=np.int64
-        )
-        brute = np.cos(2.0 * np.pi * (((units[:, None] * ns[None, :]) % q) / q)).sum(
-            axis=0
-        )
-        formula = np.array(
-            [equidist.ramanujan(q, int(n)) for n in ns.tolist()], dtype=float
-        )
-        worst = max(worst, float(np.max(np.abs(formula - brute))))
-        exact = exact and np.array_equal(np.rint(brute), formula)
-    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
-              67, 71, 73, 79, 83, 89, 97, 101)
-    weil = all(
-        math.hypot(*equidist.kloosterman(equidist.ExpSumParams(1, 1, p)))
-        <= 2.0 * math.sqrt(p) + 1e-9
-        for p in primes
-    )
-    k00 = all(
-        equidist.kloosterman(equidist.ExpSumParams(0, 0, b))
-        == (float(equidist.euler_phi(b)), 0.0)
-        for b in range(2, 201)
-    )
-    ok = exact and worst < 1e-6 and weil and k00
-    _line(
-        capsys,
-        8,
-        ok,
-        f"Ramanujan formula exact for q <= 100, |n| <= 100 (drift {worst:.2e}); "
-        f"Weil bound p <= 101: {weil}; K(0,0,b) = (phi(b), 0) for b <= 200: {k00}",
-    )
+    # Ramanujan sums = brute force (drift < 1e-6, exact rounded) for q, |n| <= 100;
+    # Weil's bound p <= 101; K(0, 0, b) = (phi(b), 0), b <= 200; K(n, m, b) = K(m, n, b)
+    _suite_gate(capsys, 8, "expsums", 1e-6, 60.0)
 
 
 def test_criterion_09_cli_determinism(capsys, tmp_path):

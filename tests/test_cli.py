@@ -334,15 +334,25 @@ class TestAsymptCommand:
     def test_rejects_unordered_moduli(self, capsys):
         assert run(["asympt", "--n", "0", "--b-list", "9,7"]) == 2
         assert "ascending" in capsys.readouterr().err
-        # out-of-range moduli, a negative order and non-integers name their fault
+        # out-of-range moduli, orders outside 0..60, non-integers and a b^(n+1)
+        # past the float range name their fault
         for n, blist, fault in (
             ("0", "1,5", ">= 2"),
             ("-1", "100,200", "--n"),
+            ("61", "1000,2000", "0..60"),
             ("0", "abc", "integers"),
             ("0", "100,3037000500", "<= 3037000499"),
+            ("60", "1000,128000", "float maximum"),
         ):
             assert run(["asympt", "--n", n, "--b-list", blist]) == 2
             assert fault in capsys.readouterr().err
+
+    def test_highest_order_runs(self, tmp_path, capsys):
+        out = tmp_path / "n60.csv"
+        assert run(["asympt", "--n", "60", "--b-list", "100,200", "--output", str(out)]) == 0
+        capsys.readouterr()
+        _, rows = read_csv(out)
+        assert rows[0][2:] == ["", "", ""] and rows[1][4] != ""
 
     def test_write_failure_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
