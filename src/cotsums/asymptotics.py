@@ -225,8 +225,8 @@ class AsymptoticExpansion:
 
     @classmethod
     def build(cls, n: int) -> "AsymptoticExpansion":
-        if n < 0:
-            raise ValueError("order must be >= 0")
+        if not 0 <= n <= _MAX_ORDER:
+            raise ValueError(f"order must be in 0..{_MAX_ORDER}, got {n}")
         return cls(order_n=n, coeffs_E=tuple(_true_coeff(l) for l in range(1, n + 1)))
 
 

@@ -189,12 +189,14 @@ def cmd_asympt(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # verification suites (numpy-only runtime, deterministic)
 
+# The one configuration the suites run: identities for b <= bmax, window
+# moments at b, series at m1 on `grid` points, the limit law from `samples`.
+_VERIFY = {"bmax": 500, "b": 5003, "m1": 12, "grid": 4001, "samples": 20000}
 
-def _suite_identities(args: argparse.Namespace):
-    if args.bmax < 2:
-        raise ValueError("--bmax must be >= 2")
+
+def _suite_identities():
     worst = 0.0
-    for b in range(2, args.bmax + 1):
+    for b in range(2, _VERIFY["bmax"] + 1):
         rs, c0v, vv, qv = equidist.batch_c0_vq(b)
         pos = np.full(b, -1, dtype=np.int64)
         pos[rs] = np.arange(len(rs))
@@ -207,10 +209,10 @@ def _suite_identities(args: argparse.Namespace):
             float(np.max(np.abs(c0v - (c0_one - qv) / rs) / denom)),
         )
         worst = max(worst, float(np.max(np.abs(c0v[pos[(b - rs) % b]] + c0v) / denom)))
-    return worst < 1e-6, worst, f"b <= {args.bmax}, V/decomposition/oddness"
+    return worst < 1e-6, worst, f"b <= {_VERIFY['bmax']}, V/decomposition/oddness"
 
 
-def _suite_closed(args: argparse.Namespace):
+def _suite_closed():
     worst = 0.0
     ok = core.c0(core.ReducedFraction(1, 2)).value == 0.0
     worst = max(worst, abs(core.c0(core.ReducedFraction(1, 3)).value - math.sqrt(3) / 9))
@@ -222,7 +224,7 @@ def _suite_closed(args: argparse.Namespace):
     return ok and worst < 1e-12, worst, "c0(1/2), c0(1/3), Q(1/b) b <= 1000"
 
 
-def _suite_asympt(args: argparse.Namespace):
+def _suite_asympt():
     bs = [200, 400, 800, 1600, 3200]
     exact = {b: core.c0(core.ReducedFraction(1, b)).value for b in bs}
     scaled = {}
@@ -239,7 +241,7 @@ def _suite_asympt(args: argparse.Namespace):
     return ok, var0 - 1.0, f"n=0 variation {var0:.6f}, n=1 gain {reduction:.1e}"
 
 
-def _suite_c1(args: argparse.Namespace):
+def _suite_c1():
     worst = 0.0
     ok = True
     for r, b0 in ((2, 1), (3, 1)):
@@ -255,8 +257,8 @@ def _suite_c1(args: argparse.Namespace):
     return ok, worst, "pairs (2,1), (3,1) vs direct; r=1 slope"
 
 
-def _suite_gmachinery(args: argparse.Namespace):
-    t = gseries.TruncatedGSeries(args.m1)
+def _suite_gmachinery():
+    t = gseries.TruncatedGSeries(_VERIFY["m1"])
     rng = np.random.default_rng(1009)
     worst = 0.0
     ok = True
@@ -295,7 +297,7 @@ def _suite_gmachinery(args: argparse.Namespace):
     parseval_rel = abs(mass - grid_mass) / grid_mass
     ok = ok and parseval_rel < 1e-3
     # moment table structure
-    tbl = gseries.hk_table(4, t, args.grid)
+    tbl = gseries.hk_table(4, t, _VERIFY["grid"])
     ok = ok and tbl.hk[0] == 1.0 and tbl.d2k[0] == 1.0
     ok = ok and abs(tbl.hk[1] - 0.1389) < 4e-3
     roots = gseries.hk_growth_check(tbl)
@@ -311,12 +313,12 @@ def _suite_gmachinery(args: argparse.Namespace):
     return ok, max(l2, parseval_rel), f"L2 {l2:.4f}, Parseval rel {parseval_rel:.2e}"
 
 
-def _suite_moments(args: argparse.Namespace):
-    window = equidist.ScanWindow(args.b, 0.6, 0.8)
-    tbl = gseries.hk_table(2, gseries.TruncatedGSeries(args.m1), args.grid)
+def _suite_moments():
+    b = _VERIFY["b"]
+    tbl = gseries.hk_table(2, gseries.TruncatedGSeries(_VERIFY["m1"]), _VERIFY["grid"])
     h1 = tbl.hk[1]
     d2 = tbl.d2k[1]
-    rep = equidist.scan(window, 3, deterministic=True)
+    rep = equidist.scan(equidist.ScanWindow(b, 0.6, 0.8), 3, deterministic=True)
     m2_rel = abs(rep.moments_c0[2] - h1 * 0.2) / (h1 * 0.2)
     e1 = d2 / (3.0 * math.pi**2)
     q2_target = e1 * (0.8**3 - 0.6**3)
@@ -326,7 +328,7 @@ def _suite_moments(args: argparse.Namespace):
     s_c0 = float(np.sum(rep.c0_values**2))
     s_qr = float(np.sum((rep.q_values / rep.residues) ** 2))
     bridge_rel = abs(s_c0 - s_qr) / s_c0
-    ok = ok and bridge_rel < math.log(args.b) ** 2 / args.b
+    ok = ok and bridge_rel < math.log(b) ** 2 / b
     # two-route H1: c0-based and Q-based must agree
     h1_c0 = rep.moments_c0[2] / 0.2
     h1_q = 3.0 * rep.moments_q[2] / (0.8**3 - 0.6**3)
@@ -348,7 +350,7 @@ def _suite_moments(args: argparse.Namespace):
     )
 
 
-def _suite_expsums(args: argparse.Namespace):
+def _suite_expsums():
     ok = True
     worst = 0.0
     ns = np.arange(-100, 101, dtype=np.int64)
@@ -376,9 +378,9 @@ def _suite_expsums(args: argparse.Namespace):
     return ok, worst, "ramanujan brute force, Weil, K(0,0,b), symmetry"
 
 
-def _suite_distribution(args: argparse.Namespace):
-    ref = gseries.empirical_F(gseries.TruncatedGSeries(args.m1), args.samples)
-    tol = 2.0 / math.sqrt(args.samples)
+def _suite_distribution():
+    ref = gseries.empirical_F(gseries.TruncatedGSeries(_VERIFY["m1"]), _VERIFY["samples"])
+    tol = 2.0 / math.sqrt(_VERIFY["samples"])
     ok = abs(ref.median()) < tol
     z = np.linspace(-1.5, 1.5, 41)
     sym = float(np.max(np.abs((1.0 - ref.cdf(-z + 1e-12)) - ref.cdf(z))))
@@ -391,7 +393,7 @@ def _suite_distribution(args: argparse.Namespace):
     return ok, max(sym, ks[1]), f"symmetry {sym:.2e}, KS {ks[0]:.3f} -> {ks[1]:.3f}"
 
 
-def _suite_determinism(args: argparse.Namespace):
+def _suite_determinism():
     window = equidist.ScanWindow(1009, 0.6, 0.8)
     rep1 = equidist.scan(window, 2, deterministic=True)
     rep2 = equidist.scan(window, 2, deterministic=True)
@@ -420,11 +422,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failures = 0
     for name in names:
         tic = time.perf_counter()
-        try:
-            passed, worst, detail = _SUITE_FUNCS[name](args)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        passed, worst, detail = _SUITE_FUNCS[name]()
         ms = (time.perf_counter() - tic) * 1e3
         status = "PASS" if passed else "FAIL"
         print(f"{name}: {status} (worst residual {worst:.3g}; {detail}) [{ms:.0f} ms]")
@@ -467,11 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run verification suites")
     p_ver.add_argument("--suite", choices=VERIFY_SUITES + ("all",), default="all")
-    p_ver.add_argument("--bmax", type=int, default=500)
-    p_ver.add_argument("--b", type=int, default=5003)
-    p_ver.add_argument("--m1", type=int, default=12)
-    p_ver.add_argument("--grid", type=int, default=4001)
-    p_ver.add_argument("--samples", type=int, default=20000)
     return parser
 
 

@@ -38,9 +38,9 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Sign and scale of the divisor-series evaluator, fixed by the cross-evaluator
-# oracle: +2/pi matches f_eval (rotated-grid L2 = 0.007), the alternative
-# -1/pi is off by far (L2 = 1.76).
+# Scale of the sine coefficients: f(x; m1) = sum_k (2/pi) d(k; m1)/k sin(2 pi k x),
+# d(k; m1) counting the divisors of k up to 2^m1, and g's coefficients are
+# f's with that cap removed, (2/pi) d(k)/k.
 FOURIER_CONSTANT = 2.0 / math.pi
 
 
@@ -180,11 +180,15 @@ def _tau(limit: int, cap: int | None = None) -> np.ndarray:
     return d
 
 
+def _sine_coeffs(K: int, cap: int) -> np.ndarray:
+    # FOURIER_CONSTANT * d(k; cap)/k, k = 1..K, d counting the divisors <= cap
+    return FOURIER_CONSTANT * _tau(K, cap)[1:] / np.arange(1, K + 1, dtype=float)
+
+
 @lru_cache(maxsize=8)
 def _fourier_weights(M: int) -> tuple[np.ndarray, np.ndarray]:
-    # read-only (l, FOURIER_CONSTANT * tau(l)/l), l = 1..M, for both Fourier routes
-    l = np.arange(1, M + 1, dtype=float)
-    weights = FOURIER_CONSTANT * _tau(M)[1:] / l
+    # read-only (l, g's uncapped `_sine_coeffs`), l = 1..M, for both Fourier routes
+    l, weights = np.arange(1, M + 1, dtype=float), _sine_coeffs(M, M)
     l.flags.writeable = weights.flags.writeable = False
     return l, weights
 
@@ -226,8 +230,7 @@ def fourier_coeffs_f(t: TruncatedGSeries, K: int) -> np.ndarray:
     """
     if K < 1:
         raise ValueError("K >= 1 required")
-    k = np.arange(1, K + 1, dtype=float)
-    return (2.0 / math.pi) * _tau(K, t.terms)[1:] / k
+    return _sine_coeffs(K, t.terms)
 
 
 @dataclass

@@ -1,10 +1,13 @@
 import functools
+import os
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import cotsums
 from cotsums import equidist, gseries
 
 settings.register_profile("suite", deadline=None, derandomize=True, max_examples=50)
@@ -54,3 +57,11 @@ def l2_pair():
     fs = gseries._f_offset_grid(n, u0, 20)
     gs = gseries._fourier_offset_grid(n, u0, 1 << 20)
     return fs, gs
+
+
+@pytest.fixture
+def child_env():
+    # environment of a fresh interpreter that imports this same cotsums
+    src = str(Path(cotsums.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}

@@ -8,6 +8,9 @@ asympt, expsums), so each of those checks is implemented once.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -23,11 +26,10 @@ def _line(capsys, n, ok, detail):
     assert ok, f"criterion {n}: {detail}"
 
 
-def _suite_gate(capsys, n, suite, tol, budget, *flags):
-    # `cotsums verify --suite <suite> <flags>` passes within `tol` and `budget`
-    args = cli.build_parser().parse_args(["verify", "--suite", suite, *flags])
+def _suite_gate(capsys, n, suite, tol, budget):
+    # `cotsums verify --suite <suite>` passes within `tol` and `budget`
     tic = time.perf_counter()
-    ok, worst, detail = cli._SUITE_FUNCS[suite](args)
+    ok, worst, detail = cli._SUITE_FUNCS[suite]()
     wall = time.perf_counter() - tic
     detail += f"; worst residual {worst:.3g} (< {tol:g}) in {wall:.1f}s (< {budget:g}s)"
     _line(capsys, n, ok and worst < tol and wall < budget, f"verify --suite {suite}: {detail}")
@@ -36,7 +38,7 @@ def _suite_gate(capsys, n, suite, tol, budget, *flags):
 def test_criterion_01_identity_suite(capsys):
     # V(r/b) = -c0(rbar/b), c0(r/b) = (c0(1/b) - Q(r/b))/r and oddness for
     # every unit r, b <= 500, relative to max(1, |c0|)
-    _suite_gate(capsys, 1, "identities", 1e-6, 60.0, "--bmax", "500")
+    _suite_gate(capsys, 1, "identities", 1e-6, 60.0)
 
 
 def test_criterion_02_closed_forms(capsys):
@@ -146,33 +148,29 @@ def test_criterion_08_exponential_sums(capsys):
     _suite_gate(capsys, 8, "expsums", 1e-6, 60.0)
 
 
-def test_criterion_09_cli_determinism(capsys, tmp_path):
-    dirs = []
-    for tag, threads in (("one", "1"), ("two", "4")):
-        d = tmp_path / tag
-        d.mkdir()
-        code = cli.main(
-            [
-                "scan",
-                "--b",
-                "1009",
-                "--a0",
-                "0.6",
-                "--a1",
-                "0.8",
-                "--deterministic",
-                "--threads",
-                threads,
-                "--output",
-                str(d / "scan.csv"),
-            ]
-        )
-        assert code == 0
-        dirs.append(d)
-    same = (dirs[0] / "scan.csv").read_bytes() == (dirs[1] / "scan.csv").read_bytes()
-    same = same and (
-        (dirs[0] / "scan.json").read_bytes() == (dirs[1] / "scan.json").read_bytes()
-    )
+def _fresh_outputs(tmp_path, env, seed):
+    # the b = 1009 window scan and c0 in both precisions, each in a fresh
+    # interpreter with PYTHONHASHSEED = seed: the scan's files and c0's stdout
+    out = tmp_path / f"hashseed{seed}"
+    out.mkdir()
+    env = {**env, "PYTHONHASHSEED": str(seed), "COTSUMS_OUTDIR": str(out)}
+    c0 = ["c0", "--r", "4123", "--b", "10007", "--precision"]
+    runs = [
+        ["scan", "--b", "1009", "--a0", "0.6", "--a1", "0.8", "--deterministic", "--output", "scan.csv"],
+        [*c0, "default"],
+        [*c0, "oracle"],
+    ]
+    stdout = [
+        subprocess.run(
+            [sys.executable, "-m", "cotsums.cli", *argv], env=env, capture_output=True, check=True
+        ).stdout
+        for argv in runs
+    ]
+    return [(out / "scan.csv").read_bytes(), (out / "scan.json").read_bytes(), *stdout[1:]]
+
+
+def test_criterion_09_cli_determinism(capsys, tmp_path, child_env):
+    same = _fresh_outputs(tmp_path, child_env, 0) == _fresh_outputs(tmp_path, child_env, 1)
     tic = time.perf_counter()
     code = cli.main(["verify", "--suite", "all"])
     wall = time.perf_counter() - tic
@@ -181,6 +179,7 @@ def test_criterion_09_cli_determinism(capsys, tmp_path):
         capsys,
         9,
         ok,
-        f"deterministic scans byte-identical across thread counts: {same}; "
+        f"scan b = 1009 and c0 (default, oracle) byte-identical across fresh "
+        f"interpreters with PYTHONHASHSEED 0 and 1: {same}; "
         f"verify --suite all exit {code} in {wall:.0f}s (< 900s)",
     )

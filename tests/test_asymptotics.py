@@ -163,6 +163,13 @@ class TestExpansion:
     def test_threshold_boundary_accepted(self):
         asy.c0_asymptotic(18, 4)
 
+    @pytest.mark.parametrize("n", [-1, 61])
+    def test_order_outside_limit_names_the_limit(self, n):
+        with pytest.raises(ValueError, match=r"order must be in 0\.\.60"):
+            asy.AsymptoticExpansion.build(n)
+        with pytest.raises(ValueError, match=r"order must be in 0\.\.60"):
+            asy.c0_asymptotic(1000, n)
+
 
 class TestGStar:
     def test_quarter_point(self):

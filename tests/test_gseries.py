@@ -183,6 +183,11 @@ class TestFourierEvaluator:
 
 
 class TestFourierCoeffs:
+    @pytest.mark.parametrize("m1,M", [(6, 64), (7, 100), (12, 4096)])
+    def test_g_weights_are_uncapped_f_coefficients(self, m1, M):
+        # 2^m1 >= M: no divisor of k <= M exceeds the cap
+        assert np.array_equal(gseries._fourier_weights(M)[1], fourier_coeffs_f(TruncatedGSeries(m1), M))
+
     def test_leading_coefficient(self):
         s = fourier_coeffs_f(TruncatedGSeries(6), 10)
         assert s[0] == 2.0 / math.pi
