@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import _B_MAX, _check_modulus, _cot_values, direct_sums
-from .gseries import EmpiricalCDF, TruncatedGSeries
+from .gseries import EmpiricalCDF, TruncatedGSeries, _pairwise_dot
 
 __all__ = [
     "ScanWindow",
@@ -387,7 +387,7 @@ def q_approx(r: int, b: int, m1: int) -> float:
     res = (l % r) * bstar % r
     saw = 1.0 - 2.0 * (res / r)
     saw[res == 0] = 0.0
-    return b * r / math.pi * float(saw @ (1.0 / l))
+    return b * r / math.pi * _pairwise_dot(saw, 1.0 / l)
 
 
 @dataclass(frozen=True)

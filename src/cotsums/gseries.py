@@ -69,8 +69,13 @@ def _f_points(alphas: np.ndarray, m1: int) -> np.ndarray:
 
     Points x terms run in L2-sized tiles of at most 2^16 cells, min(2^m1, 2^12)
     terms wide, through two reused buffers; B(u) = ceil({u}) - 2{u}.  Each
-    tile row is summed by `np.add.reduce` and the chunks are added in l order,
-    so a point's value is the same bit for bit alone or in any batch.
+    tile row is weighted and summed in one pass, `np.vecdot` with the chunk's
+    1/l (a BLAS `ddot` of that fixed width per row), and the chunks are added
+    in l order.  A row's dot depends only on its own B values, so a point's
+    value is the same bit for bit alone or in any batch; the width stays below
+    OpenBLAS's 10 000-element threading cutoff, so it is also the same under
+    any BLAS thread count.  B(1 - u) = -B(u) holds exactly at dyadic u and the
+    dot is odd in its weights, so f(1 - x) = -f(x) stays exact there.
     """
     terms = TruncatedGSeries(m1).terms
     alphas = np.asarray(alphas, dtype=float)
@@ -91,9 +96,15 @@ def _f_points(alphas: np.ndarray, m1: int) -> np.ndarray:
             np.ceil(ut, out=wt)
             np.add(ut, ut, out=ut)
             np.subtract(wt, ut, out=wt)
-            np.multiply(wt, inv, out=wt)
-            out[p : p + len(a)] += np.add.reduce(wt, axis=1)
+            out[p : p + len(a)] += np.vecdot(wt, inv)
     return out
+
+
+def _pairwise_dot(x: np.ndarray, y: np.ndarray) -> float:
+    # sum x*y by numpy's pairwise `np.add.reduce`, never a BLAS dot: a long
+    # `ddot` splits across threads past OpenBLAS's cutoff, and its bits then
+    # follow the BLAS thread count
+    return float(np.add.reduce(x * y))
 
 
 def _f_offset_grid(n: int, c: float, m1: int) -> np.ndarray:
@@ -108,8 +119,9 @@ def _f_offset_grid(n: int, c: float, m1: int) -> np.ndarray:
     (n/2 of even n pairs with itself).  Blocks of 2^16 // n pairs (about 2^16
     cells) are gathered at r, which a uint32 add and an unsigned-wrap `minimum`
     advance with no integer modulo: O(n^2 + L), no sort.  At L <= 4n the dense
-    `_f_points` sweep runs; the switch is conservative (on 2 vCPUs the kernel ran
-    1.2-1.6x faster already at L = 2n).  No l*alpha_j may be an integer
+    `_f_points` sweep runs; the switch is conservative (on 2 vCPUs, n = 1201 to
+    8191, the kernel ran 0.9-1.2x the dense sweep's speed at L = 2n, 1.1-1.6x
+    at L = 2.7n-3.4n and 1.8-2.2x at L = 4n).  No l*alpha_j may be an integer
     (offsets away from rationals); tests pin agreement with `_f_points`.
     """
     if n < 1:
@@ -123,7 +135,7 @@ def _f_offset_grid(n: int, c: float, m1: int) -> np.ndarray:
     h = (l * (c % n)) % n  # l*c >= 0 keeps h in [0, n), also for c < 0
     inv = np.zeros(rows * n)
     inv[1 : big_l + 1] = 1.0 / l[1 : big_l + 1]
-    out = np.full(n, np.sum(inv) - (2.0 / n) * float(h @ inv))  # inv is 0 off l = 1..L
+    out = np.full(n, np.sum(inv) - (2.0 / n) * _pairwise_dot(h, inv))  # inv is 0 off l = 1..L
     # l = t*n + a sits at [t, a]; pair p joins class a = p + 1 with class n - a
     pairs = n // 2
     width = max(1, min(pairs, (1 << 16) // n))
@@ -217,7 +229,7 @@ def g_fourier_eval(alpha: float, M: int) -> float:
     if alpha > 0.5:
         return -g_fourier_eval(1.0 - alpha, M)
     l, weights = _fourier_weights(M)
-    return float(_folded_sin(l * alpha) @ weights)
+    return _pairwise_dot(_folded_sin(l * alpha), weights)
 
 
 def fourier_coeffs_f(t: TruncatedGSeries, K: int) -> np.ndarray:

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -100,11 +102,13 @@ class TestBinnedKernel:
 
 class TestSeriesKernel:
     def test_point_alone_equals_batch(self):
-        # 40 points at m1 = 14 span three tiles and four term chunks
+        # 40 points at m1 = 14 span three tiles and four term chunks; at m1 = 6
+        # one tile of 40 rows holds them all, each row a single 64-wide chunk
         alphas = (np.arange(1, 41, dtype=float) * gseries._GOLDEN) % 1.0
-        batch = gseries._f_points(alphas, 14)
-        alone = [gseries._f_points(alphas[i : i + 1], 14)[0] for i in range(40)]
-        assert np.array_equal(batch, alone)
+        for m1 in (14, 6):
+            batch = gseries._f_points(alphas, m1)
+            alone = [gseries._f_points(alphas[i : i + 1], m1)[0] for i in range(40)]
+            assert np.array_equal(batch, alone)
 
     def test_scalar_route_is_the_kernel(self):
         t = TruncatedGSeries(14)
@@ -114,19 +118,54 @@ class TestSeriesKernel:
     def test_against_exact_sum(self):
         # x = N / 2^k exactly, so {l x} = (l N mod 2^k) / 2^k and
         # f = sum_l (2^k - 2 (l N mod 2^k)) / (2^k l), zero terms at integers
-        terms = 1 << 12
-        lcm = math.lcm(*range(1, terms + 1))
         # points far from low-denominator rationals: near l*x = integer the
-        # rounded float phase fl(l*x) may land on the other side of the jump
-        for x in (math.sqrt(2.0) - 1.0, gseries._GOLDEN, math.pi - 3.0, math.e - 2.0, 0.7071):
-            num, den = Fraction(x).as_integer_ratio()
-            total = 0
-            for l in range(1, terms + 1):
-                r = l * num % den
-                if r:
-                    total += (den - 2 * r) * (lcm // l)
-            exact = Fraction(total, den * lcm)
-            assert abs(Fraction(f_eval(x, TruncatedGSeries(12))) - exact) <= 1e-13
+        # rounded float phase fl(l*x) may land on the other side of the jump;
+        # m1 = 13 adds its second 2^12-term chunk to the first one's row dot
+        for m1 in (12, 13):
+            terms = 1 << m1
+            lcm = math.lcm(*range(1, terms + 1))
+            for x in (math.sqrt(2.0) - 1.0, gseries._GOLDEN, math.pi - 3.0, math.e - 2.0, 0.7071):
+                num, den = Fraction(x).as_integer_ratio()
+                total = 0
+                for l in range(1, terms + 1):
+                    r = l * num % den
+                    if r:
+                        total += (den - 2 * r) * (lcm // l)
+                exact = Fraction(total, den * lcm)
+                assert abs(Fraction(f_eval(x, TruncatedGSeries(m1))) - exact) <= 1e-13
+
+
+_BLAS_PROBE = """
+import math, sys
+import numpy as np
+from cotsums import equidist, gseries
+alphas = (np.arange(1, 3001, dtype=float) * gseries._GOLDEN) % 1.0
+c = 0.5 + math.modf(4001 * gseries._GOLDEN)[0]
+values = [
+    gseries._f_points(alphas, 14),
+    [gseries.g_fourier_eval(x, 1 << 18) for x in (0.1, 0.3, gseries._GOLDEN)],
+    gseries._f_offset_grid(4001, c, 18),
+    [equidist.q_approx(4123, 10007, 18)],
+]
+sys.stdout.write("\\n".join(np.asarray(v, dtype=float).tobytes().hex() for v in values))
+"""
+
+
+def test_values_independent_of_blas_thread_count(child_env):
+    # each case runs in a fresh interpreter, which reads OPENBLAS_NUM_THREADS
+    # when numpy loads; a BLAS dot longer than OpenBLAS's threading cutoff
+    # (10 000 elements) sums in a thread-count-dependent order
+    one, two = (
+        subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE],
+            env={**child_env, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, check=True, text=True,
+        ).stdout.splitlines()
+        for threads in ("1", "2")
+    )
+    names = ["_f_points m1=14", "g_fourier_eval M=2^18", "_f_offset_grid m1=18", "q_approx m1=18"]
+    assert len(one) == len(two) == len(names)
+    assert [n for n, a, b in zip(names, one, two) if a != b] == []
 
 
 class TestDivisorSieve:
