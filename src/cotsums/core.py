@@ -200,34 +200,44 @@ def direct_sums(rs, b: int, rows, *, oracle: bool = False):
         c0: ((b - 2 m_k)/b) cot(pi k/b),  q: (2 floor(m_k r / b) - r + 1) cot(pi k/b),
         v: ((2 (k r mod b) - b)/b) cot(pi k/b),
     and c0(r/b) = -V(rbar/b), c0((b-r)/b) = -c0(r/b) hold bit for bit.
+    The integer weights run in int32 when every product fits,
+    b * max(b, max |r|) < 2^31 (so b <= 46340 at r <= b), else in int64;
+    both widths give the same integers, hence the same values.
     k runs in chunks whose bounds depend only on b.  One sweep forms every
     row's terms of a chunk in cache-sized tiles; a tile computes its
     cotangents by the element operations of `cot_table` (no table is built
     or read) and m_k once for the c0 and q rows.  So memory is bounded by a
     chunk of terms per row, whatever b.  A chunk row is summed pairwise
-    (`np.add.reduce`), or with `oracle` by a pairwise tree of TwoSums plus
-    their summed errors (after Sum2 of Ogita, Rump and Oishi, SIAM J. Sci.
-    Comput. 26, 2005); chunk results are added in k order by TwoSum.  So a
-    value does not depend on the other residues or rows.  Both results are
-    (len(rows), len(rs)); a name may appear in `rows` once.
+    (`np.add.reduce`, one call over the (rows, residues, k) block), or with
+    `oracle` by a pairwise tree of TwoSums plus their summed errors (after
+    Sum2 of Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005), one tree
+    per row, so its spare buffer holds one row of a block; chunk results are
+    added in k order by TwoSum.  So a value does not depend on the other
+    residues or rows.  Both results are (len(rows), len(rs)); a name may
+    appear in `rows` once.
     """
     rs = np.asarray(rs, dtype=np.int64)
     _check_modulus(b)
     row = {name: i for i, name in enumerate(rows)}
     if len(row) != len(rows) or not row.keys() <= set(_ROWS):
         raise ValueError(f"rows must be distinct names from {_ROWS}, got {rows}")
-    if np.any(bad := np.gcd(rs, b) != 1):
-        raise ValueError(f"r={rs[bad][0]} is not a unit mod b={b}")
-    rbar = np.array([pow(r, -1, b) for r in rs.tolist()], dtype=np.int64)
+    rbar, units = [], rs.tolist()
+    for r in units:
+        try:
+            rbar.append(pow(r, -1, b))
+        except ValueError:
+            raise ValueError(f"r={r} is not a unit mod b={b}") from None
+    dtype = np.int32 if b * max(b, max(map(abs, units), default=0)) < 2**31 else np.int64
+    rs, rbar = rs.astype(dtype), np.array(rbar, dtype=dtype)
     half = (b - 1) // 2
     chunk = max(1, min(half, _CELLS))
     block = max(1, min(len(rs), _CELLS // chunk))
     width = min(chunk, _TILE_K)
     # starting from +0.0 makes an empty or all-zero sum (c0(1/2), Q(1/b)) +0.0
-    hi, lo, biggest = (np.zeros((len(rows), len(rs))) for _ in range(3))
+    hi, lo, biggest = np.zeros((3, len(rows), len(rs)))
     # Buffers allocated once: fresh block-sized temporaries would page-fault.
     terms = np.empty((len(rows), block * chunk))
-    ints = np.empty((2, block * width), dtype=np.int64)
+    ints = np.empty((2, block * width), dtype=dtype)
     cbuf = np.empty(width)
     spare = np.empty((3, block * (chunk - chunk // 2))) if oracle else None
     for k0 in range(1, half + 1, chunk):
@@ -235,19 +245,27 @@ def direct_sums(rs, b: int, rows, *, oracle: bool = False):
         for start in range(0, len(rs), block):
             sl = slice(start, start + block)
             r = rs[sl, None]
-            t = [x[: len(r) * n].reshape(len(r), n) for x in terms]
+            t = terms[:, : len(r) * n].reshape(len(rows), len(r), n)
             for j in range(0, n, width):
                 w = min(width, n - j)
-                k = np.arange(k0 + j, k0 + j + w, dtype=np.int64)
+                k = np.arange(k0 + j, k0 + j + w, dtype=dtype)
                 prod, res = (x[: len(r) * w].reshape(len(r), w) for x in ints)
-                tile = {name: t[i][:, j : j + w] for name, i in row.items()}
+                tile = {name: t[i, :, j : j + w] for name, i in row.items()}
                 _fill(tile, r, rbar[sl, None], k, _cot(k, b, cbuf[:w]), b, prod, res)
-            for i, ti in enumerate(t):
-                big = np.maximum(np.abs(ti.max(axis=1)), np.abs(ti.min(axis=1)))
-                np.maximum(biggest[i, sl], big, out=biggest[i, sl])
-                h, l = _two_sum_tree(ti, spare) if oracle else (np.add.reduce(ti, axis=1), 0.0)
-                hi[i, sl], e = _two_sum(hi[i, sl], h)
-                lo[i, sl] += l + e
+            big = np.maximum(np.abs(t.max(axis=2)), np.abs(t.min(axis=2)))
+            np.maximum(biggest[:, sl], big, out=biggest[:, sl])
+            if oracle:
+                h, l = np.empty((2, len(rows), len(r)))
+                for i, ti in enumerate(t):
+                    h[i], l[i] = _two_sum_tree(ti, spare)
+            else:
+                h, l = np.add.reduce(t, axis=2), 0.0
+            if k0 == 1:  # TwoSum(+0.0, h) = (+0.0 + h, +0.0)
+                hi[:, sl] += h
+            else:
+                hi[:, sl], e = _two_sum(hi[:, sl], h)
+                l = l + e
+            lo[:, sl] += l
     return hi + lo, biggest
 
 
@@ -326,8 +344,10 @@ def fractional_identity_check(a: int, n: int, f: ReducedFraction) -> float:
     m = np.arange(1, b)
     phase = 2.0 * np.pi * ((m * k) % b) / b
     cots = t[(m * r) % b]
-    sin_sum = float(cots @ np.sin(phase))
-    cos_sum = float(cots @ np.cos(phase))
+    # pairwise `np.add.reduce`, no BLAS: a `ddot` of b - 1 > 10 000 elements
+    # splits across OpenBLAS threads, and its bits follow the thread count
+    sin_sum = float(np.add.reduce(cots * np.sin(phase)))
+    cos_sum = float(np.add.reduce(cots * np.cos(phase)))
     frac = ((n * a) % b) / b
     res_sin = abs(frac - (0.5 - sin_sum / (2.0 * b)))
     return max(res_sin, abs(cos_sum) / (2.0 * b))

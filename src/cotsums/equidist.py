@@ -420,14 +420,18 @@ def kloosterman(p: ExpSumParams) -> tuple[float, float]:
 
 
 def ramanujan(q: int, n: int) -> int:
-    """c_q(n) by the Moebius-divisor formula sum_{d | (q, n)} mu(q/d) d."""
+    """c_q(n) by the Moebius-divisor formula sum_{d | (q, n)} mu(q/d) d.
+
+    mu(q/d) comes from the one factorization of q: it vanishes unless every
+    prime power p^e exactly dividing q leaves p^e or p^(e-1) in d (sign +1
+    or -1 at p), so the sum factors into prod_p ([p^e | n] p^e - [p^(e-1) | n] p^(e-1)).
+    """
     if q < 1:
         raise ValueError("q >= 1 required")
-    g = math.gcd(q, abs(n))
-    total = 0
-    for d in range(1, g + 1):
-        if g % d == 0:
-            total += mobius(q // d) * d
+    total = 1
+    for p, e in _factorize(q).items():
+        hi, lo = p**e, p ** (e - 1)
+        total *= (hi if n % hi == 0 else 0) - (lo if n % lo == 0 else 0)
     return total
 
 

@@ -64,7 +64,7 @@ def f_eval(alpha: float, t: TruncatedGSeries) -> float:
     return float(_f_points(np.array([alpha]), t.m1)[0])
 
 
-def _f_points(alphas: np.ndarray, m1: int) -> np.ndarray:
+def _f_points(alphas: np.ndarray, m1: int, prefix: int | None = None):
     """f(alpha_i; m1) at a batch of points: the one evaluator of the series.
 
     Points x terms run in L2-sized tiles of at most 2^16 cells, min(2^m1, 2^12)
@@ -76,6 +76,14 @@ def _f_points(alphas: np.ndarray, m1: int) -> np.ndarray:
     OpenBLAS's 10 000-element threading cutoff, so it is also the same under
     any BLAS thread count.  B(1 - u) = -B(u) holds exactly at dyadic u and the
     dot is odd in its weights, so f(1 - x) = -f(x) stays exact there.
+
+    With `prefix` <= m1 the same sweep also yields f(alpha_i; prefix), its
+    partial sum at l = 2^prefix, and the result is the pair of both.  That
+    sum is a `vecdot` over the first 2^prefix columns of the first chunk
+    when it is narrower than a chunk, else `out` after the chunk that ends
+    at l = 2^prefix.  Either way it adds the same row dots of the same width
+    in the same order as `_f_points(alphas, prefix)`, so it equals that bit
+    for bit.
     """
     terms = TruncatedGSeries(m1).terms
     alphas = np.asarray(alphas, dtype=float)
@@ -83,6 +91,8 @@ def _f_points(alphas: np.ndarray, m1: int) -> np.ndarray:
     out = np.zeros(n)
     width = min(terms, 1 << 12)
     height = max(1, min(n, (1 << 16) // width))
+    part = 0 if prefix is None else 1 << prefix
+    head = np.zeros(n) if 0 < part < width else None
     u, w = np.empty((2, height, width))
     for lo in range(1, terms + 1, width):
         l = np.arange(lo, lo + width, dtype=float)
@@ -97,7 +107,11 @@ def _f_points(alphas: np.ndarray, m1: int) -> np.ndarray:
             np.add(ut, ut, out=ut)
             np.subtract(wt, ut, out=wt)
             out[p : p + len(a)] += np.vecdot(wt, inv)
-    return out
+            if lo == 1 and head is not None:
+                head[p : p + len(a)] += np.vecdot(wt[:, :part], inv[:part])
+        if lo + width - 1 == part:
+            head = out.copy()
+    return out if prefix is None else (out, head)
 
 
 def _pairwise_dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -107,7 +121,7 @@ def _pairwise_dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.add.reduce(x * y))
 
 
-def _f_offset_grid(n: int, c: float, m1: int) -> np.ndarray:
+def _f_offset_grid(n: int, c: float, m1: int, prefix: int | None = None):
     """f at the uniform offset grid alpha_j = ((j + c)/n) mod 1, j = 0..n-1.
 
     For L = 2^m1 > 4n, a residue-paired block kernel.  With l = t*n + a,
@@ -123,12 +137,17 @@ def _f_offset_grid(n: int, c: float, m1: int) -> np.ndarray:
     8191, the kernel ran 0.9-1.2x the dense sweep's speed at L = 2n, 1.1-1.6x
     at L = 2.7n-3.4n and 1.8-2.2x at L = 4n).  No l*alpha_j may be an integer
     (offsets away from rationals); tests pin agreement with `_f_points`.
+    With `prefix` <= m1 it returns the pair (f(.; m1), f(.; prefix)) on the
+    grid, from one `_f_points` sweep on the dense route and from two calls,
+    one after the other, on the binned route.
     """
     if n < 1:
         raise ValueError("grid size must be positive")
     big_l = 1 << m1
     if big_l <= 4 * n:
-        return _f_points(((np.arange(n) + c) / n) % 1.0, m1)
+        return _f_points(((np.arange(n) + c) / n) % 1.0, m1, prefix)
+    if prefix is not None:  # one row after the other, so their buffers never overlap
+        return _f_offset_grid(n, c, m1), _f_offset_grid(n, c, prefix)
 
     rows = big_l // n + 1
     l = np.arange(rows * n, dtype=float)
@@ -166,16 +185,24 @@ def _fourier_offset_grid(n: int, c: float, M: int) -> np.ndarray:
     """Divisor-series route on the offset grid alpha_j = (j + c)/n mod 1.
 
     With x_j = (j + c)/n the phases e^{2 pi i k x_j} depend on k only through
-    k mod n once the offset twist e^{2 pi i k c / n} is absorbed into the
-    coefficients, so the whole k <= M sum collapses to an n-bin fold and one
-    inverse FFT.
+    k mod n once the offset twist e(k c / n) = e^{2 pi i k c / n} is absorbed
+    into the coefficients, so the whole k <= M sum collapses to an n-bin fold
+    and one inverse FFT.  With k = t n + a the twist splits as
+    e(t c) e(a c / n): the weights, laid out as an (M // n + 1) x n matrix
+    (k = 0 and k > M weigh 0), are summed along t against the row twists
+    e(t c) by one `np.add.reduce` (in t order, no BLAS), and bin a is then
+    turned by e(a c / n).  So M // n + 1 + n exponentials replace M, and the
+    phase error is about (M/n) eps instead of M eps.
     """
     if n < 1 or M < 1:
         raise ValueError("n >= 1 and M >= 1 required")
-    k, weights = _fourier_weights(M)
-    coeff = weights * np.exp(2j * np.pi * (k * (c / n) % 1.0))
-    bins = np.arange(1, M + 1, dtype=np.int64) % n
-    folded = np.bincount(bins, coeff.real, n) + 1j * np.bincount(bins, coeff.imag, n)
+    _, weights = _fourier_weights(M)
+    rows = M // n + 1
+    w = np.zeros(rows * n)
+    w[1 : M + 1] = weights
+    twist = np.exp(2j * np.pi * (np.arange(rows) * c % 1.0))
+    folded = np.add.reduce(w.reshape(rows, n) * twist[:, None], axis=0)
+    folded *= np.exp(2j * np.pi * (np.arange(n) * (c / n) % 1.0))
     return np.fft.ifft(folded).imag * n
 
 
@@ -390,9 +417,7 @@ class MomentTable:
                 raise ValueError("even moments must be nonnegative")
 
 
-def _moment_row(grid: int, m1: int, k_max: int):
-    offset = 0.5 + math.modf(grid * _GOLDEN)[0]
-    fs = _f_offset_grid(grid, offset, m1)
+def _moments(fs: np.ndarray, k_max: int):
     y = fs / math.pi
     hk, d2k, odd = {0: 1.0}, {0: 1.0}, {}
     for k in range(1, k_max + 1):
@@ -402,20 +427,31 @@ def _moment_row(grid: int, m1: int, k_max: int):
     return hk, d2k, odd
 
 
+def _grid_offset(grid: int) -> float:
+    return 0.5 + math.modf(grid * _GOLDEN)[0]
+
+
 def hk_table(k_max: int, t: TruncatedGSeries, grid: int) -> MomentTable:
     """Midpoint-rule moment table on an irrationally offset grid.
 
     Nodes ((i + 1/2 + frac(grid * golden)) / grid) mod 1 never hit a
     discontinuity of f(.; m1).  The error estimate per k compares the value
-    against a half-size grid and against truncation m1 - 2.
+    against a half-size grid and against truncation m1 - 2 (at least 2).
+    That truncation is a prefix of the m1 series on the same grid, so on the
+    dense route both rows come from one sweep (`_f_points` with `prefix`).
     """
     if k_max < 1:
         raise ValueError("k_max >= 1 required")
     if grid < 1000:
         raise ValueError("grid >= 1000 required")
-    hk, d2k, odd = _moment_row(grid, t.m1, k_max)
-    hk_half, _, _ = _moment_row(grid // 2 + 1, t.m1, k_max)
-    hk_low, _, _ = _moment_row(grid, max(2, t.m1 - 2), k_max)
+    c, low, half = _grid_offset(grid), max(2, t.m1 - 2), grid // 2 + 1
+    if low <= t.m1:
+        fs, fs_low = _f_offset_grid(grid, c, t.m1, prefix=low)
+    else:
+        fs, fs_low = (_f_offset_grid(grid, c, m) for m in (t.m1, low))
+    hk, d2k, odd = _moments(fs, k_max)
+    hk_half = _moments(_f_offset_grid(half, _grid_offset(half), t.m1), k_max)[0]
+    hk_low = _moments(fs_low, k_max)[0]
     errors = {k: abs(hk[k] - hk_half[k]) + abs(hk[k] - hk_low[k]) for k in range(k_max + 1)}
     return MomentTable(k_max=k_max, hk=hk, d2k=d2k, errors=errors, odd=odd)
 

@@ -9,9 +9,11 @@ asympt, expsums), so each of those checks is implemented once.
 
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -171,15 +173,21 @@ def _fresh_outputs(tmp_path, env, seed):
 
 def test_criterion_09_cli_determinism(capsys, tmp_path, child_env):
     same = _fresh_outputs(tmp_path, child_env, 0) == _fresh_outputs(tmp_path, child_env, 1)
+    capsys.readouterr()
     tic = time.perf_counter()
     code = cli.main(["verify", "--suite", "all"])
     wall = time.perf_counter() - tic
-    ok = same and code == 0 and wall < 900.0
+    # the nine suite lines without their " [N ms]" timings
+    lines = [re.sub(r" \[\d+ ms\]$", "", s) for s in capsys.readouterr().out.splitlines()]
+    golden = (Path(__file__).parent / "data" / "verify_golden.txt").read_text(encoding="utf-8")
+    pinned = lines == [s for s in golden.splitlines() if not s.startswith("#")]
+    ok = same and code == 0 and pinned and wall < 900.0
     _line(
         capsys,
         9,
         ok,
         f"scan b = 1009 and c0 (default, oracle) byte-identical across fresh "
         f"interpreters with PYTHONHASHSEED 0 and 1: {same}; "
-        f"verify --suite all exit {code} in {wall:.0f}s (< 900s)",
+        f"verify --suite all exit {code}, lines as tests/data/verify_golden.txt: {pinned}, "
+        f"in {wall:.0f}s (< 900s)",
     )

@@ -70,8 +70,9 @@ def _golden_cases():
 
 class TestC0Golden:
     # b = 2..105, composite 30030 at r = 1 and b - 1, primes with 1, 2 and 4
-    # chunks of the direct kernel (10007, 524309, 2097143) and the benchmark's
-    # point values, in both precisions
+    # chunks of the direct kernel (10007, 524309, 2097143), the benchmark's
+    # point values, and the primes 46337 and 46349 on either side of the
+    # kernel's int32/int64 switch, in both precisions
     @pytest.mark.parametrize("argv,want", _golden_cases())
     def test_stdout_is_byte_identical(self, capsys, argv, want):
         assert run(argv) == 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -128,6 +129,29 @@ class TestFusedSweep:
             assert np.array_equal(fused_big[i], one_big), row
         pair, _ = core.direct_sums(rs, b, ("v", "c0"), oracle=oracle)
         assert np.array_equal(pair, fused[[2, 0]])
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    @pytest.mark.parametrize("b", [46337, 46349])  # int32 up to b = 46340, int64 above
+    def test_every_row_subset_and_order_equals_one_row_calls(self, b, oracle):
+        rs = [1, 2, 28640, b - 1]
+        one = {row: core.direct_sums(rs, b, (row,), oracle=oracle) for row in core._ROWS}
+        for size in (1, 2, 3):
+            for rows in itertools.permutations(core._ROWS, size):
+                values, biggest = core.direct_sums(rs, b, rows, oracle=oracle)
+                for i, row in enumerate(rows):
+                    assert np.array_equal(values[i], one[row][0][0]), rows
+                    assert np.array_equal(np.signbit(values[i]), np.signbit(one[row][0][0])), rows
+                    assert np.array_equal(biggest[i], one[row][1][0]), rows
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_int64_batch_equals_int32_batch(self, oracle):
+        # one residue with b * r >= 2^31 puts the whole batch in int64
+        b, rs = 46337, [2, 28640, 46336]
+        narrow = core.direct_sums(rs, b, core._ROWS, oracle=oracle)
+        wide = core.direct_sums([*rs, 50_000 * b + 3], b, core._ROWS, oracle=oracle)
+        for x, y in zip(narrow, wide):
+            assert np.array_equal(x, y[:, :3])
+            assert np.array_equal(np.signbit(x), np.signbit(y[:, :3]))
 
     @pytest.mark.parametrize("oracle", [False, True])
     def test_c0_q_v_equals_the_one_row_entries(self, oracle):

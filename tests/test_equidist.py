@@ -16,6 +16,7 @@ from cotsums.equidist import (
     inverse_localization_count,
     kloosterman,
     ks_distance,
+    mobius,
     q_approx,
     ramanujan,
     scan,
@@ -347,6 +348,14 @@ class TestRamanujan:
                     math.cos(2.0 * math.pi * ((r * n) % q) / q) for r in units
                 )
                 assert ramanujan(q, n) == round(brute)
+
+    def test_equals_moebius_divisor_sum(self):
+        mu = [0] + [mobius(k) for k in range(1, 201)]
+        for q in range(1, 201):
+            for n in range(-300, 301):
+                g = math.gcd(q, n)
+                want = sum(mu[q // d] * d for d in range(1, g + 1) if g % d == 0)
+                assert ramanujan(q, n) == want, (q, n)
 
 
 class TestInverseLocalization:

@@ -61,7 +61,7 @@ def _dense_grid(n, c, m1):
     return gseries._f_points(((np.arange(n) + c) / n) % 1.0, m1)
 
 
-def _no_dense_sweep(alphas, m1):
+def _no_dense_sweep(alphas, m1, prefix=None):
     raise AssertionError("dense sweep ran")
 
 
@@ -101,6 +101,28 @@ class TestBinnedKernel:
 
 
 class TestSeriesKernel:
+    @pytest.mark.parametrize("m1", [12, 14, 16])
+    def test_prefix_equals_its_own_sweep(self, m1):
+        # 2^(m1-2) is a column prefix of the first chunk at m1 = 12, the
+        # first chunk at 14 and the first four chunks at 16; 300 points span
+        # 19 tiles of 16 rows
+        alphas = (np.arange(1, 301, dtype=float) * gseries._GOLDEN) % 1.0
+        full, head = gseries._f_points(alphas, m1, prefix=m1 - 2)
+        assert np.array_equal(full, gseries._f_points(alphas, m1))
+        assert np.array_equal(head, gseries._f_points(alphas, m1 - 2))
+
+    def test_dense_moment_table_sweeps_two_grids(self, monkeypatch):
+        # the full grid's sweep yields the m1 - 2 row; the half grid is the other
+        calls, sweep = [], gseries._f_points
+
+        def spy(alphas, m1, prefix=None):
+            calls.append((len(alphas), m1, prefix))
+            return sweep(alphas, m1, prefix)
+
+        monkeypatch.setattr(gseries, "_f_points", spy)
+        hk_table(2, TruncatedGSeries(11), 2001)
+        assert calls == [(2001, 11, 9), (1001, 11, None)]
+
     def test_point_alone_equals_batch(self):
         # 40 points at m1 = 14 span three tiles and four term chunks; at m1 = 6
         # one tile of 40 rows holds them all, each row a single 64-wide chunk
@@ -138,7 +160,7 @@ class TestSeriesKernel:
 _BLAS_PROBE = """
 import math, sys
 import numpy as np
-from cotsums import equidist, gseries
+from cotsums import core, equidist, gseries
 alphas = (np.arange(1, 3001, dtype=float) * gseries._GOLDEN) % 1.0
 c = 0.5 + math.modf(4001 * gseries._GOLDEN)[0]
 values = [
@@ -146,6 +168,7 @@ values = [
     [gseries.g_fourier_eval(x, 1 << 18) for x in (0.1, 0.3, gseries._GOLDEN)],
     gseries._f_offset_grid(4001, c, 18),
     [equidist.q_approx(4123, 10007, 18)],
+    [core.fractional_identity_check(3, 7, core.ReducedFraction(4123, 100003))],
 ]
 sys.stdout.write("\\n".join(np.asarray(v, dtype=float).tobytes().hex() for v in values))
 """
@@ -163,7 +186,10 @@ def test_values_independent_of_blas_thread_count(child_env):
         ).stdout.splitlines()
         for threads in ("1", "2")
     )
-    names = ["_f_points m1=14", "g_fourier_eval M=2^18", "_f_offset_grid m1=18", "q_approx m1=18"]
+    names = [
+        "_f_points m1=14", "g_fourier_eval M=2^18", "_f_offset_grid m1=18", "q_approx m1=18",
+        "fractional_identity_check b=100003",
+    ]
     assert len(one) == len(two) == len(names)
     assert [n for n, a, b in zip(names, one, two) if a != b] == []
 
@@ -212,6 +238,17 @@ class TestFourierEvaluator:
         assert gseries._fourier_weights(96)[1] is weights
         assert not l.flags.writeable and not weights.flags.writeable
         assert np.array_equal(weights, FOURIER_CONSTANT * gseries._tau(96)[1:] / np.arange(1, 97))
+
+    @pytest.mark.parametrize("n,M", [(2000, 1 << 20), (997, 100_000)])
+    def test_folded_twist_matches_per_k_twist(self, n, M):
+        # reference: the twist e(k c / n) evaluated at every k, then binned
+        c = 0.5 + math.modf(n * gseries._GOLDEN)[0]
+        k, weights = gseries._fourier_weights(M)
+        coeff = weights * np.exp(2j * np.pi * (k * (c / n) % 1.0))
+        bins = np.arange(1, M + 1) % n
+        folded = np.bincount(bins, coeff.real, n) + 1j * np.bincount(bins, coeff.imag, n)
+        want = np.fft.ifft(folded).imag * n
+        assert np.max(np.abs(gseries._fourier_offset_grid(n, c, M) - want)) <= 1e-13
 
     def test_grid_helper_matches_scalar(self):
         n, c = 997, 0.371
