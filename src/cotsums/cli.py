@@ -291,7 +291,7 @@ def _suite_gmachinery():
     # Parseval at m1 = 6
     t6 = gseries.TruncatedGSeries(6)
     s = gseries.fourier_coeffs_f(t6, 1 << 18)
-    mass = 0.5 * gseries._pairwise_dot(s, s)
+    mass = 0.5 * core._pairwise_dot(s, s)
     grid_vals = gseries._f_offset_grid(100_000, 0.5 + (100_000 * 0.6180339887498949) % 1.0, 6)
     grid_mass = float(np.mean(grid_vals**2))
     parseval_rel = abs(mass - grid_mass) / grid_mass

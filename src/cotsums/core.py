@@ -137,6 +137,13 @@ def _check_modulus(b: int) -> None:
         raise ValueError(f"b <= {_B_MAX} required (int64 residue products overflow above it)")
 
 
+def _pairwise_dot(x: np.ndarray, y: np.ndarray) -> float:
+    # sum x*y by numpy's pairwise `np.add.reduce`, never a BLAS dot: a long
+    # `ddot` splits across threads past OpenBLAS's cutoff, and its bits then
+    # follow the BLAS thread count
+    return float(np.add.reduce(x * y))
+
+
 def _two_sum(a, c):
     # Knuth's error-free TwoSum: s + e == a + c exactly.
     s = a + c
@@ -337,6 +344,7 @@ def fractional_identity_check(a: int, n: int, f: ReducedFraction) -> float:
     divide n*a.
     """
     r, b = f.r, f.b
+    _check_modulus(b)
     if (n * a) % b == 0:
         raise ValueError(f"b={b} divides n*a={n * a}; identity hypotheses fail")
     t = cot_table(b)
@@ -344,10 +352,8 @@ def fractional_identity_check(a: int, n: int, f: ReducedFraction) -> float:
     m = np.arange(1, b)
     phase = 2.0 * np.pi * ((m * k) % b) / b
     cots = t[(m * r) % b]
-    # pairwise `np.add.reduce`, no BLAS: a `ddot` of b - 1 > 10 000 elements
-    # splits across OpenBLAS threads, and its bits follow the thread count
-    sin_sum = float(np.add.reduce(cots * np.sin(phase)))
-    cos_sum = float(np.add.reduce(cots * np.cos(phase)))
+    sin_sum = _pairwise_dot(cots, np.sin(phase))
+    cos_sum = _pairwise_dot(cots, np.cos(phase))
     frac = ((n * a) % b) / b
     res_sin = abs(frac - (0.5 - sin_sum / (2.0 * b)))
     return max(res_sin, abs(cos_sum) / (2.0 * b))

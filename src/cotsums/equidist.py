@@ -38,8 +38,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _B_MAX, _check_modulus, _cot_values, direct_sums
-from .gseries import EmpiricalCDF, TruncatedGSeries, _pairwise_dot
+from .core import _B_MAX, _check_modulus, _cot_values, _pairwise_dot, direct_sums
+from .gseries import EmpiricalCDF, TruncatedGSeries
 
 __all__ = [
     "ScanWindow",

@@ -18,6 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .core import _pairwise_dot
+
 __all__ = [
     "TruncatedGSeries",
     "ContinuedFraction",
@@ -114,13 +116,6 @@ def _f_points(alphas: np.ndarray, m1: int, prefix: int | None = None):
     return out if prefix is None else (out, head)
 
 
-def _pairwise_dot(x: np.ndarray, y: np.ndarray) -> float:
-    # sum x*y by numpy's pairwise `np.add.reduce`, never a BLAS dot: a long
-    # `ddot` splits across threads past OpenBLAS's cutoff, and its bits then
-    # follow the BLAS thread count
-    return float(np.add.reduce(x * y))
-
-
 def _f_offset_grid(n: int, c: float, m1: int, prefix: int | None = None):
     """f at the uniform offset grid alpha_j = ((j + c)/n) mod 1, j = 0..n-1.
 
@@ -132,11 +127,13 @@ def _f_offset_grid(n: int, c: float, m1: int, prefix: int | None = None):
     G_a[r] + G_{n-a}[-r] from one `bincount` difference array and one `cumsum`
     (n/2 of even n pairs with itself).  Blocks of 2^16 // n pairs (about 2^16
     cells) are gathered at r, which a uint32 add and an unsigned-wrap `minimum`
-    advance with no integer modulo: O(n^2 + L), no sort.  At L <= 4n the dense
-    `_f_points` sweep runs; the switch is conservative (on 2 vCPUs, n = 1201 to
-    8191, the kernel ran 0.9-1.2x the dense sweep's speed at L = 2n, 1.1-1.6x
-    at L = 2.7n-3.4n and 1.8-2.2x at L = 4n).  No l*alpha_j may be an integer
-    (offsets away from rationals); tests pin agreement with `_f_points`.
+    advance with no integer modulo: O(n^2 + L), no sort.  Each block builds its
+    keys and weights from h and 1/l, the only grid-wide arrays, so memory is
+    two L-length arrays plus one block.  At L <= 4n the dense `_f_points` sweep
+    runs; the switch is conservative (on 2 vCPUs, n = 1201 to 8191, the kernel
+    ran 0.9-1.2x the dense sweep's speed at L = 2n, 1.1-1.6x at L = 2.7n-3.4n
+    and 1.8-2.2x at L = 4n).  No l*alpha_j may be an integer (offsets away from
+    rationals); tests pin agreement with `_f_points`.
     With `prefix` <= m1 it returns the pair (f(.; m1), f(.; prefix)) on the
     grid, from one `_f_points` sweep on the dense route and from two calls,
     one after the other, on the binned route.
@@ -150,29 +147,31 @@ def _f_offset_grid(n: int, c: float, m1: int, prefix: int | None = None):
         return _f_offset_grid(n, c, m1), _f_offset_grid(n, c, prefix)
 
     rows = big_l // n + 1
-    l = np.arange(rows * n, dtype=float)
-    h = (l * (c % n)) % n  # l*c >= 0 keeps h in [0, n), also for c < 0
+    h = np.arange(rows * n, dtype=float)  # l, then h_l in place
     inv = np.zeros(rows * n)
-    inv[1 : big_l + 1] = 1.0 / l[1 : big_l + 1]
+    np.divide(1.0, h[1 : big_l + 1], out=inv[1 : big_l + 1])
+    np.remainder(np.multiply(h, c % n, out=h), n, out=h)  # l*c >= 0 keeps h in [0, n), also for c < 0
     out = np.full(n, np.sum(inv) - (2.0 / n) * _pairwise_dot(h, inv))  # inv is 0 off l = 1..L
-    # l = t*n + a sits at [t, a]; pair p joins class a = p + 1 with class n - a
+    # pair p joins class a = p + 1 with class n - a; a block's `bincount` keys are
+    # n - floor(h) and floor(h) + 1 (pair i's bins start at i*(n+1)), weights +-2/l
+    h, inv = h.reshape(rows, n).T, inv.reshape(rows, n).T  # l = t*n + a sits at [a, t]
     pairs = n // 2
     width = max(1, min(pairs, (1 << 16) // n))
-    fl, w2 = np.floor(h).astype(np.int64).reshape(rows, n), 2.0 * inv.reshape(rows, n)
-    lo, hi = slice(1, pairs + 1), slice(n - 1, n - pairs - 1, -1)
-    keys = np.concatenate([n - fl[:, lo], fl[:, hi] + 1]).T.copy()
-    keys += (np.arange(pairs) % width * (n + 1))[:, None]
-    wts = np.concatenate([w2[:, lo], -w2[:, hi]]).T.copy()
-    wts[pairs - 1 :, rows:] *= n % 2  # class n/2 of even n pairs with itself
-    slope = -wts.sum(axis=1) / n
     j, k = np.arange(n), np.arange(width)[:, None]
     r = ((k + 1) * j % n).astype(np.uint32)
     step, base = (width * j % n).astype(np.uint32), (k * (n + 1)).astype(np.uint32)
+    ends, sign = base[:, :, None] + np.array([[n], [1]]), np.array([[-1.0], [1.0]])
+    cols = np.arange(1, pairs + 1)[:, None] * [1, -1] + [0, n]  # [a, n - a]
     idx, spare, vals = np.empty_like(r), np.empty_like(r), np.empty(r.shape)
     for p in range(0, pairs, width):
         q = min(p + width, pairs)
-        table = np.bincount(keys[p:q].ravel(), wts[p:q].ravel(), width * (n + 1)).reshape(width, n + 1)
-        table[: q - p, 1:] += slope[p:q, None]
+        keys = (np.floor(h[cols[p:q]]) * sign).astype(np.int64) + ends[: q - p]
+        wts = inv[cols[p:q]] * (-2.0 * sign)
+        if q == pairs:
+            wts[-1, 1] *= n % 2  # class n/2 of even n pairs with itself
+        slope = -wts.reshape(q - p, -1).sum(axis=1) / n
+        table = np.bincount(keys.ravel(), wts.ravel(), width * (n + 1)).reshape(width, n + 1)
+        table[: q - p, 1:] += slope[:, None]
         np.cumsum(table, axis=1, out=table)
         np.add(r, base, out=idx)
         out += np.add.reduce(np.take(table, idx, out=vals, mode="clip"), axis=0)

@@ -1,5 +1,7 @@
 import functools
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -65,3 +67,20 @@ def child_env():
     src = str(Path(cotsums.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return {**os.environ, "PYTHONPATH": path}
+
+
+# Linux carries a process's ru_maxrss across exec from the address space it
+# replaces, so an interpreter spawned by this (large) test process starts at
+# the test process's peak and a growth below it reads as 0.  A small
+# interpreter in between spawns the measured one, whose peak starts near its own.
+_SPAWN = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
+
+
+@pytest.fixture
+def fresh_child(child_env):
+    # stdout of `python -c script *args` in an interpreter whose ru_maxrss is its own
+    def run(script, *args):
+        argv = [sys.executable, "-c", _SPAWN, sys.executable, "-c", script, *args]
+        return subprocess.run(argv, env=child_env, capture_output=True, check=True, text=True).stdout
+
+    return run

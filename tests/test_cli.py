@@ -1,8 +1,6 @@
 import csv
 import hashlib
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -126,7 +124,7 @@ class TestTableGolden:
         assert path.read_bytes() == ref.read_bytes()
         _assert_golden("block_table.csv", path.read_bytes())
 
-    def test_memory_is_bounded_by_a_block(self, tmp_path, child_env):
+    def test_memory_is_bounded_by_a_block(self, tmp_path, fresh_child):
         # per-row string lists of these 10^6 rows took about 200 MB.  The write
         # runs in a fresh interpreter, whose peak RSS (KiB on Linux) counts
         # numpy's and C allocations too; no temporary outlives the columns
@@ -142,11 +140,7 @@ class TestTableGolden:
             "print(peak() - before)\n"
         )
         path = tmp_path / "big.csv"
-        child = subprocess.run(
-            [sys.executable, "-c", script, str(path)],
-            env=child_env, capture_output=True, check=True, text=True,
-        )
-        assert int(child.stdout) * 1024 < 16 * 2**20
+        assert int(fresh_child(script, str(path))) * 1024 < 16 * 2**20
         with open(path, "rb") as fh:
             assert sum(1 for _ in fh) == 1_000_001
 

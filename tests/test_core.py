@@ -349,6 +349,15 @@ class TestFractionalIdentity:
         with pytest.raises(ValueError):
             core.fractional_identity_check(2, 2, ReducedFraction(1, 4))
 
+    def test_rejects_modulus_past_int64_products(self, monkeypatch):
+        # checked before a cot table of 8 * b bytes is asked for
+        def no_table(b):
+            raise AssertionError(f"cot table of {b} entries requested")
+
+        monkeypatch.setattr(core, "cot_table", no_table)
+        with pytest.raises(ValueError, match="int64"):
+            core.fractional_identity_check(1, 1, ReducedFraction(1, core._B_MAX + 1))
+
 
 class TestReciprocityDefect:
     def test_two_thirds(self):

@@ -1,7 +1,9 @@
+import hashlib
 import math
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +67,13 @@ def _no_dense_sweep(alphas, m1, prefix=None):
     raise AssertionError("dense sweep ran")
 
 
+def _binned_golden():
+    # (n, m1, sha256) lines of tests/data/binned_golden.txt
+    path = Path(__file__).parent / "data" / "binned_golden.txt"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [(int(n), int(m1), digest) for n, m1, digest in (s.split() for s in lines if not s.startswith("#"))]
+
+
 class TestBinnedKernel:
     # n = 2 and 4 pair the class n/2 with itself, n = 1 has no pair at all;
     # at n = 997 and 1000 the 2^16 // n = 65 pairs per block leave a partial
@@ -98,6 +107,25 @@ class TestBinnedKernel:
         for k in range(1, 7):
             want = float(np.mean(y ** (2 * k)))
             assert abs(table.hk[k] - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("n,m1,digest", _binned_golden())
+    def test_bytes_match_golden(self, n, m1, digest):
+        c = 0.5 + math.modf(n * gseries._GOLDEN)[0]
+        assert hashlib.sha256(gseries._f_offset_grid(n, c, m1).tobytes()).hexdigest() == digest
+
+    def test_memory_is_bounded_by_a_block(self, fresh_child):
+        # the gmachinery grid in a fresh interpreter: past the constant term the
+        # kernel keeps h and 1/l (8 MB each at L = 2^20) plus one block's tables;
+        # grid-wide key and weight arrays grew ru_maxrss (KiB on Linux) by 68 MB
+        script = (
+            "import math, resource\n"
+            "from cotsums import gseries\n"
+            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak()\n"
+            "gseries._f_offset_grid(2000, 0.5 + math.modf(2000 * gseries._GOLDEN)[0], 20)\n"
+            "print(peak() - before)\n"
+        )
+        assert int(fresh_child(script)) * 1024 < 45 * 2**20
 
 
 class TestSeriesKernel:
