@@ -97,6 +97,11 @@ def cmd_c0(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.figure:
+        flags = [f for f, on in (("--a0", args.a0 is not None), ("--a1", args.a1 is not None),
+                                 ("--format json", args.format == "json")) if on]
+        if flags:
+            print(f"error: {', '.join(flags)} applies to a window scan, not to --figure", file=sys.stderr)
+            return 2
         try:
             rs, c0v = equidist.batch_c0(args.b)
         except ValueError as exc:

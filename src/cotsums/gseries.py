@@ -188,19 +188,21 @@ def _fourier_offset_grid(n: int, c: float, M: int) -> np.ndarray:
     into the coefficients, so the whole k <= M sum collapses to an n-bin fold
     and one inverse FFT.  With k = t n + a the twist splits as
     e(t c) e(a c / n): the weights, laid out as an (M // n + 1) x n matrix
-    (k = 0 and k > M weigh 0), are summed along t against the row twists
-    e(t c) by one `np.add.reduce` (in t order, no BLAS), and bin a is then
-    turned by e(a c / n).  So M // n + 1 + n exponentials replace M, and the
-    phase error is about (M/n) eps instead of M eps.
+    (k = 0 and k > M weigh 0), are summed along t against cos and sin of the
+    row phases 2 pi t c, the real and imaginary parts one after the other, by
+    `np.add.reduce` (in t order, no BLAS), and bin a is then turned by
+    e(a c / n).  So M // n + 1 + n exponentials replace M, and the phase error
+    is about (M/n) eps instead of M eps.
     """
     if n < 1 or M < 1:
         raise ValueError("n >= 1 and M >= 1 required")
-    _, weights = _fourier_weights(M)
-    rows = M // n + 1
-    w = np.zeros(rows * n)
-    w[1 : M + 1] = weights
-    twist = np.exp(2j * np.pi * (np.arange(rows) * c % 1.0))
-    folded = np.add.reduce(w.reshape(rows, n) * twist[:, None], axis=0)
+    w = np.zeros((M // n + 1) * n)
+    w[1 : M + 1] = _fourier_weights(M)
+    w = w.reshape(-1, n)
+    phase = 2.0 * np.pi * (np.arange(len(w)) * c % 1.0)
+    folded = np.empty(n, dtype=complex)
+    folded.real = np.add.reduce(w * np.cos(phase)[:, None], axis=0)
+    folded.imag = np.add.reduce(w * np.sin(phase)[:, None], axis=0)
     folded *= np.exp(2j * np.pi * (np.arange(n) * (c / n) % 1.0))
     return np.fft.ifft(folded).imag * n
 
@@ -224,20 +226,11 @@ def _sine_coeffs(K: int, cap: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _fourier_weights(M: int) -> tuple[np.ndarray, np.ndarray]:
-    # read-only (l, g's uncapped `_sine_coeffs`), l = 1..M, for both Fourier routes
-    l, weights = np.arange(1, M + 1, dtype=float), _sine_coeffs(M, M)
-    l.flags.writeable = weights.flags.writeable = False
-    return l, weights
-
-
-def _folded_sin(u: np.ndarray) -> np.ndarray:
-    # sin(2 pi {u}) with the phase folded into [0, 1/2] plus a sign, keeping
-    # mirror pairs {u} <-> 1 - {u} exactly opposite.
-    frac = u - np.floor(u)
-    hi = frac > 0.5
-    folded = np.where(hi, 1.0 - frac, frac)
-    return np.where(hi, -1.0, 1.0) * np.sin(2.0 * np.pi * folded)
+def _fourier_weights(M: int) -> np.ndarray:
+    # g's uncapped `_sine_coeffs`, k = 1..M, read-only, for both Fourier routes
+    weights = _sine_coeffs(M, M)
+    weights.flags.writeable = False
+    return weights
 
 
 def g_fourier_eval(alpha: float, M: int) -> float:
@@ -245,7 +238,9 @@ def g_fourier_eval(alpha: float, M: int) -> float:
 
     c is `FOURIER_CONSTANT`.  Arguments above 1/2 are reflected through the
     exact identity g(1 - a) = -g(a) before evaluation, so the sine-oddness
-    symmetry holds exactly in floating point.
+    symmetry holds exactly in floating point.  Each phase {l alpha} is folded
+    into (-1/2, 1/2] by subtracting 1 above 1/2, which is exact, so mirror
+    pairs {u} and 1 - {u} keep exactly opposite sines.
     """
     if M < 1:
         raise ValueError("M >= 1 required")
@@ -254,8 +249,12 @@ def g_fourier_eval(alpha: float, M: int) -> float:
         return 0.0
     if alpha > 0.5:
         return -g_fourier_eval(1.0 - alpha, M)
-    l, weights = _fourier_weights(M)
-    return _pairwise_dot(_folded_sin(l * alpha), weights)
+    u = np.arange(1.0, M + 1.0)
+    u *= alpha
+    u -= np.floor(u)
+    u -= u > 0.5
+    u *= 2.0 * np.pi
+    return _pairwise_dot(np.sin(u, out=u), _fourier_weights(M))
 
 
 def fourier_coeffs_f(t: TruncatedGSeries, K: int) -> np.ndarray:
@@ -303,9 +302,6 @@ def cf_expand(alpha: float, max_terms: int) -> ContinuedFraction:
     if max_terms < 1:
         raise ValueError("max_terms >= 1 required")
     quotients: list[int] = []
-    convergents: list[tuple[int, int]] = []
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = 0, 1
     x = alpha
     terminated = x <= 1e-12
     while not terminated and len(quotients) < max_terms:
@@ -321,11 +317,8 @@ def cf_expand(alpha: float, max_terms: int) -> ContinuedFraction:
             a += 1
             x = 0.0
         quotients.append(a)
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        convergents.append((p_cur, q_cur))
         terminated = x <= 1e-12
-    return ContinuedFraction(alpha, quotients, convergents, terminated)
+    return ContinuedFraction(alpha, quotients, _convergents(quotients), terminated)
 
 
 def cf_from_quotients(quotients: list[int]) -> ContinuedFraction:
@@ -338,22 +331,19 @@ def cf_from_quotients(quotients: list[int]) -> ContinuedFraction:
     """
     if not quotients or any(a < 1 for a in quotients):
         raise ValueError("quotients must be a nonempty list of positive integers")
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = 0, 1
+    convergents = _convergents(quotients)
+    return ContinuedFraction(float(Fraction(*convergents[-1])), list(quotients), convergents, False)
+
+
+def _convergents(quotients: list[int]) -> list[tuple[int, int]]:
+    # exact convergents (p_m, q_m) of [0; a_1, ..., a_m] by the p/q recurrence
+    (p_prev, q_prev), (p, q) = (1, 0), (0, 1)
     convergents = []
     for a in quotients:
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        convergents.append((p_cur, q_cur))
-    return ContinuedFraction(float(Fraction(p_cur, q_cur)), list(quotients), convergents, False)
-
-
-def _log_int(q: int) -> float:
-    # natural log of a positive int of any size
-    if q.bit_length() <= 50:
-        return math.log(q)
-    shift = q.bit_length() - 50
-    return math.log(q >> shift) + shift * math.log(2.0)
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        convergents.append((p, q))
+    return convergents
 
 
 @dataclass(frozen=True)
@@ -377,7 +367,7 @@ def convergence_classifier(cf: ContinuedFraction) -> ClassifierResult:
     qs = [q for _, q in cf.convergents]
     if len(qs) < 2:
         raise ValueError("need at least 2 convergents")
-    ts = [_log_int(qs[i + 1]) / qs[i] for i in range(len(qs) - 1)]
+    ts = [math.log(qs[i + 1]) / qs[i] for i in range(len(qs) - 1)]
     alternating = math.fsum(t if (i + 1) % 2 == 0 else -t for i, t in enumerate(ts))
     brjuno = math.fsum(ts)
 

@@ -170,6 +170,24 @@ class TestScanFigure:
         assert run(["scan", "--b", "101", "--figure", "--output", str(out)]) == 3
         assert "cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra,flag",
+        [(["--a0", "0.6"], "--a0"), (["--a1", "0.8"], "--a1"), (["--format", "json"], "--format json")],
+    )
+    def test_window_only_flag_is_usage_error(self, tmp_path, capsys, extra, flag):
+        # figure mode writes the whole CSV table; a window flag would be dropped
+        out = tmp_path / "f.json"
+        assert run(["scan", "--b", "101", "--figure", *extra, "--output", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_format_csv_is_accepted(self, tmp_path, capsys):
+        plain, named = tmp_path / "plain.csv", tmp_path / "named.csv"
+        assert run(["scan", "--b", "101", "--figure", "--output", str(plain)]) == 0
+        assert run(["scan", "--b", "101", "--figure", "--format", "csv", "--output", str(named)]) == 0
+        assert plain.read_bytes() == named.read_bytes()
+        capsys.readouterr()
+
 
 class TestScanMoments:
     def test_json_report_schema(self, tmp_path, capsys):

@@ -74,6 +74,21 @@ def _binned_golden():
     return [(int(n), int(m1), digest) for n, m1, digest in (s.split() for s in lines if not s.startswith("#"))]
 
 
+def _fourier_golden(route):
+    # (size..., sha256) lines of tests/data/fourier_golden.txt for "eval" or "grid"
+    path = Path(__file__).parent / "data" / "fourier_golden.txt"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rows = (s.split() for s in lines if not s.startswith("#"))
+    return [(*map(int, row[1:-1]), row[-1]) for row in rows if row[0] == route]
+
+
+def _fourier_points():
+    # dyadic k/64 (0, 1/2 and 1 among them), golden multiples and their mirrors
+    # above 1/2, and two arguments outside [0, 1)
+    golden = (np.arange(1, 33) * gseries._GOLDEN) % 1.0
+    return np.concatenate([np.arange(65) / 64, golden, 1.0 - golden, [-gseries._GOLDEN, 1.0 + gseries._GOLDEN]])
+
+
 class TestBinnedKernel:
     # n = 2 and 4 pair the class n/2 with itself, n = 1 has no pair at all;
     # at n = 997 and 1000 the 2^16 // n = 65 pairs per block leave a partial
@@ -262,18 +277,43 @@ class TestFourierEvaluator:
         assert math.sqrt(float(np.mean((fs - gs) ** 2))) < 0.04
 
     def test_weights_cached_read_only(self):
-        l, weights = gseries._fourier_weights(96)
-        assert gseries._fourier_weights(96)[1] is weights
-        assert not l.flags.writeable and not weights.flags.writeable
+        weights = gseries._fourier_weights(96)
+        assert gseries._fourier_weights(96) is weights
+        assert not weights.flags.writeable
         assert np.array_equal(weights, FOURIER_CONSTANT * gseries._tau(96)[1:] / np.arange(1, 97))
+
+    @pytest.mark.parametrize("M,digest", _fourier_golden("eval"))
+    def test_point_bytes_match_golden(self, M, digest):
+        values = np.array([g_fourier_eval(float(a), M) for a in _fourier_points()])
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n,M,digest", _fourier_golden("grid"))
+    def test_grid_bytes_match_golden(self, n, M, digest):
+        c = 0.5 + math.modf(n * gseries._GOLDEN)[0]
+        assert hashlib.sha256(gseries._fourier_offset_grid(n, c, M).tobytes()).hexdigest() == digest
+
+    def test_grid_memory(self, fresh_child):
+        # the gmachinery grid in a fresh interpreter: the cached weights and the
+        # (M // n + 1) x n fold with one real product at a time, 8 MB each at
+        # M = 2^20; caching l and forming the complex product grew ru_maxrss
+        # (KiB on Linux) by 41 MB
+        script = (
+            "import resource\n"
+            "from cotsums import gseries\n"
+            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak()\n"
+            "gseries._fourier_offset_grid(2000, 0.3, 2**20)\n"
+            "print(peak() - before)\n"
+        )
+        assert int(fresh_child(script)) * 1024 < 33 * 2**20
 
     @pytest.mark.parametrize("n,M", [(2000, 1 << 20), (997, 100_000)])
     def test_folded_twist_matches_per_k_twist(self, n, M):
         # reference: the twist e(k c / n) evaluated at every k, then binned
         c = 0.5 + math.modf(n * gseries._GOLDEN)[0]
-        k, weights = gseries._fourier_weights(M)
-        coeff = weights * np.exp(2j * np.pi * (k * (c / n) % 1.0))
-        bins = np.arange(1, M + 1) % n
+        k = np.arange(1, M + 1)
+        coeff = gseries._fourier_weights(M) * np.exp(2j * np.pi * (k * (c / n) % 1.0))
+        bins = k % n
         folded = np.bincount(bins, coeff.real, n) + 1j * np.bincount(bins, coeff.imag, n)
         want = np.fft.ifft(folded).imag * n
         assert np.max(np.abs(gseries._fourier_offset_grid(n, c, M) - want)) <= 1e-13
@@ -290,7 +330,7 @@ class TestFourierCoeffs:
     @pytest.mark.parametrize("m1,M", [(6, 64), (7, 100), (12, 4096)])
     def test_g_weights_are_uncapped_f_coefficients(self, m1, M):
         # 2^m1 >= M: no divisor of k <= M exceeds the cap
-        assert np.array_equal(gseries._fourier_weights(M)[1], fourier_coeffs_f(TruncatedGSeries(m1), M))
+        assert np.array_equal(gseries._fourier_weights(M), fourier_coeffs_f(TruncatedGSeries(m1), M))
 
     def test_leading_coefficient(self):
         s = fourier_coeffs_f(TruncatedGSeries(6), 10)
