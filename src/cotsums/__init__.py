@@ -4,8 +4,8 @@ the sawtooth limit profile, and equidistribution scans.
 The package has four layers. `core` evaluates the sums themselves by one
 direct-sum kernel with paired error bounds. `asymptotics` carries the
 b -> infinity expansion of c0(1/b), the secondary coefficient C1(r, b0)
-as a digamma sum and by empirical fit, and the Euler-Maclaurin machinery
-both rest on. `gseries` handles the limit profile g(alpha): truncated
+as a digamma sum and by empirical fit, and the Bernoulli, zeta and digamma
+machinery both rest on. `gseries` handles the limit profile g(alpha): truncated
 series, Fourier form, continued-fraction convergence, moments, and the
 empirical distribution. `equidist` runs window scans over residues
 coprime to b and the exponential-sum utilities used to test them.
@@ -26,14 +26,11 @@ from .core import (
 from .asymptotics import (
     AsymptoticExpansion,
     C1Input,
-    EulerMaclaurinSpec,
     bernoulli,
     c0_asymptotic,
     c1_direct,
     c1_empirical,
-    const_D1,
     default_b_list,
-    euler_maclaurin_sum,
     g_partial,
     gstar,
     gstar_integral,
@@ -84,14 +81,11 @@ __all__ = [
     "vasyunin",
     "AsymptoticExpansion",
     "C1Input",
-    "EulerMaclaurinSpec",
     "bernoulli",
     "c0_asymptotic",
     "c1_direct",
     "c1_empirical",
-    "const_D1",
     "default_b_list",
-    "euler_maclaurin_sum",
     "g_partial",
     "gstar",
     "gstar_integral",

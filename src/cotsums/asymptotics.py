@@ -9,10 +9,9 @@ with E_l = (B_{2j}/j) zeta(2j) / pi for odd l = 2j-1 and E_l = 0 for even l.
 The constant term is +1/pi and the E_l above are the coefficients the data
 actually follows (fitting residuals at the 1e-19 level).
 
-Also here: Bernoulli numbers, a real-argument zeta, the generalized
-Euler-Maclaurin summation with a remainder bound, the partial sums S(L;b) and
-G_L(b) converging to pi*c0(1/b), the constant D1, and the closed-form C1
-with its empirical cross-check.  The closed form rests on one kernel,
+Also here: Bernoulli numbers, a real-argument zeta, the partial sums S(L;b)
+and G_L(b) converging to pi*c0(1/b), and the closed-form C1 with its
+empirical cross-check.  The closed form rests on one kernel,
 Stirling's remainder R(z) = psi(z) - ln z + 1/(2z): the P1 integrals are
 R(s/r)/r^2, C1 is a digamma sum over the residues, and the partial-fraction
 function g*(z) is psi(2-z) - psi(1+z).
@@ -24,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,14 +31,11 @@ from .core import ReducedFraction, c0
 
 __all__ = [
     "AsymptoticExpansion",
-    "EulerMaclaurinSpec",
     "C1Input",
     "bernoulli",
     "zeta_real",
-    "euler_maclaurin_sum",
     "s_sum",
     "g_partial",
-    "const_D1",
     "c0_asymptotic",
     "gstar",
     "gstar_integral",
@@ -97,70 +93,6 @@ def zeta_real(s: float) -> float:
     return total
 
 
-@dataclass
-class EulerMaclaurinSpec:
-    """Input bundle for the generalized Euler summation formula.
-
-    `f` is the integrand; `derivative(order, x)` must supply odd-order
-    derivatives up to 2N+1 (order 2N+1 is only needed for the remainder
-    bound); `integral` is the exact or precomputed value of
-    int_0^Z f(u) du.
-    """
-
-    N: int
-    Z: float
-    f: Callable[[float], float]
-    derivative: Callable[[int, float], float]
-    integral: float
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N >= 1 required")
-        if self.Z < 0:
-            raise ValueError("Z >= 0 required")
-
-
-def euler_maclaurin_sum(spec: EulerMaclaurinSpec) -> tuple[float, float]:
-    """sum_{nu=0}^{Z} f(nu) via the Euler-Maclaurin formula.
-
-    Returns (estimate, remainder_bound).  The estimate is
-
-        (f(0)+f(Z))/2 + int_0^Z f + sum_{j<=N} B_{2j}/(2j)! (f^(2j-1)(Z) - f^(2j-1)(0))
-
-    and the bound multiplies int_0^Z |f^(2N+1)| by the sup of the periodized
-    Bernoulli factor, using max |B_{2N+1}({x})| <= 2 (2N+1)! zeta(2N+1) / (2pi)^{2N+1}.
-    """
-    n_corr, z = spec.N, spec.Z
-
-    def deriv(order: int, x: float) -> float:
-        try:
-            v = spec.derivative(order, x)
-        except Exception as exc:
-            raise ValueError(f"derivative of order {order} unavailable") from exc
-        if v is None:
-            raise ValueError(f"derivative of order {order} unavailable")
-        return v
-
-    estimate = 0.5 * (spec.f(0.0) + spec.f(z)) + spec.integral
-    for j in range(1, n_corr + 1):
-        estimate += (
-            bernoulli(2 * j)
-            / math.factorial(2 * j)
-            * (deriv(2 * j - 1, z) - deriv(2 * j - 1, 0.0))
-        )
-
-    # midpoint quadrature of |f^(2N+1)| is plenty for a bound
-    order = 2 * n_corr + 1
-    panels = 4096
-    h = z / panels
-    integ_abs = 0.0
-    if z > 0:
-        xs = (np.arange(panels) + 0.5) * h
-        integ_abs = float(sum(abs(deriv(order, float(x))) for x in xs) * h)
-    factor = 2.0 * zeta_real(order) / (2.0 * math.pi) ** order
-    return estimate, factor * integ_abs
-
-
 def s_sum(L: int, b: int) -> float:
     """S(L; b) = 2b sum_{1<=a<=L} (1/a) floor(a/b)."""
     if L < 1 or b < 2:
@@ -185,23 +117,6 @@ def g_partial(L: int, b: int) -> float:
         term[a % b == 0] = 0.0
         total += math.fsum(term.tolist())
     return total
-
-
-def const_D1() -> float:
-    """D1 = sum_{nu>=3} (-1)^{nu+1} zeta(nu-1)/nu.
-
-    The zeta(nu-1) = 1 + (zeta(nu-1) - 1) split is summed separately: the
-    harmonic part telescopes to log 2 - 1/2 exactly, and the remainder is an
-    alternating series whose increments drop below 1e-15 (at nu = 46).
-    """
-    total = math.log(2.0) - 0.5
-    nu = 3
-    while True:
-        inc = (zeta_real(nu - 1.0) - 1.0) / nu
-        total += inc if nu % 2 == 1 else -inc
-        if inc < 1e-15:
-            return total
-        nu += 1
 
 
 def _true_coeff(l: int) -> float:

@@ -202,10 +202,9 @@ _VERIFY = {"bmax": 500, "b": 5003, "m1": 12, "grid": 4001, "samples": 20000}
 def _suite_identities():
     worst = 0.0
     for b in range(2, _VERIFY["bmax"] + 1):
-        rs, c0v, vv, qv = equidist.batch_c0_vq(b)
+        rs, c0v, vv, qv, rbar = equidist.batch_c0_vq(b)
         pos = np.full(b, -1, dtype=np.int64)
         pos[rs] = np.arange(len(rs))
-        rbar = np.array([pow(int(r), -1, b) for r in rs.tolist()], dtype=np.int64)
         denom = np.maximum(1.0, np.abs(c0v))
         worst = max(worst, float(np.max(np.abs(vv + c0v[pos[rbar]]) / denom)))
         c0_one = c0v[pos[1]]

@@ -8,8 +8,11 @@ reciprocity defect).  c0, Q and V come from one direct-sum kernel,
 pairs the terms at k and b - k, sweeps k < b/2 once for every requested sum
 with cot(pi k/b) computed per cache-sized tile (no cot table), is serial,
 uses no BLAS, and gives a value the same bit for bit whatever batch or set
-of sums computes it (same machine and numpy build).  `c0_q_v` is that
-sweep at one fraction, as `cotsums c0` prints it.
+of sums computes it (same machine and numpy build).  A default-precision
+call whose terms fit one tile (a point value at b <= 32769, every unit of
+b <= 725 in one batch) forms and sums that tile with no chunk loop, so the
+thousands of small sums of `cotsums verify` pay little fixed cost per
+call.  `c0_q_v` is that sweep at one fraction, as `cotsums c0` prints it.
 """
 
 from __future__ import annotations
@@ -219,24 +222,46 @@ def direct_sums(rs, b: int, rows, *, oracle: bool = False):
     `oracle` by a pairwise tree of TwoSums plus their summed errors (after
     Sum2 of Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005), one tree
     per row, so its spare buffer holds one row of a block; chunk results are
-    added in k order by TwoSum.  So a value does not depend on the other
-    residues or rows.  Both results are (len(rows), len(rs)); a name may
-    appear in `rows` once.
+    added in k order by TwoSum, starting from +0.0.  So a value does not
+    depend on the other residues or rows.  A default-precision call whose
+    terms fit one tile, (b-1)//2 <= `_TILE_K` and len(rs) (b-1)//2 <=
+    `_CELLS` (every b <= 32769 at one residue), is that one tile summed
+    with no chunk loop or block buffers: the same terms, sums and bits at
+    a fraction of the fixed cost.  Both results are (len(rows), len(rs));
+    a name may appear in `rows` once.
     """
     rs = np.asarray(rs, dtype=np.int64)
     _check_modulus(b)
-    row = {name: i for i, name in enumerate(rows)}
-    if len(row) != len(rows) or not row.keys() <= set(_ROWS):
-        raise ValueError(f"rows must be distinct names from {_ROWS}, got {rows}")
-    rbar, units = [], rs.tolist()
-    for r in units:
+    rbar = []
+    for r in rs.tolist():
         try:
             rbar.append(pow(r, -1, b))
         except ValueError:
             raise ValueError(f"r={r} is not a unit mod b={b}") from None
-    dtype = np.int32 if b * max(b, max(map(abs, units), default=0)) < 2**31 else np.int64
-    rs, rbar = rs.astype(dtype), np.array(rbar, dtype=dtype)
+    return _direct_sums(rs, rbar, b, rows, oracle)
+
+
+def _direct_sums(rs: np.ndarray, rbar, b: int, rows, oracle: bool = False):
+    # `direct_sums` at the int64 units rs, given their inverses rbar mod b
+    if len(set(rows)) != len(rows) or not set(rows) <= set(_ROWS):
+        raise ValueError(f"rows must be distinct names from {_ROWS}, got {rows}")
+    dtype = np.int32 if b * max(b, max(map(abs, rs.tolist()), default=0)) < 2**31 else np.int64
+    rs, rbar = rs.astype(dtype), np.asarray(rbar, dtype=dtype)
     half = (b - 1) // 2
+    if not oracle and 0 < half <= _TILE_K and len(rs) * half <= _CELLS:
+        # A lone residue is a scalar against k, which spares every ufunc a broadcast.
+        if len(rs) == 1:
+            r, rb, shape = rs[0], rbar[0], (half,)
+        else:
+            r, rb, shape = rs[:, None], rbar[:, None], (len(rs), half)
+        k = np.arange(1, half + 1, dtype=dtype)
+        t = np.empty((len(rows), *shape))
+        ints = np.empty((2, *shape), dtype=dtype)
+        _fill(dict(zip(rows, t)), r, rb, k, _cot(k, b, np.empty(half)), b, ints[0], ints[1])
+        # 0.0 + the pairwise row sum, as the loop adds it to +0.0
+        total = np.add.reduce(t, axis=-1, initial=0.0)
+        biggest = np.abs(t, out=t).max(axis=-1)
+        return total.reshape(len(rows), len(rs)), biggest.reshape(len(rows), len(rs))
     chunk = max(1, min(half, _CELLS))
     block = max(1, min(len(rs), _CELLS // chunk))
     width = min(chunk, _TILE_K)
@@ -257,7 +282,7 @@ def direct_sums(rs, b: int, rows, *, oracle: bool = False):
                 w = min(width, n - j)
                 k = np.arange(k0 + j, k0 + j + w, dtype=dtype)
                 prod, res = (x[: len(r) * w].reshape(len(r), w) for x in ints)
-                tile = {name: t[i, :, j : j + w] for name, i in row.items()}
+                tile = {name: ti[:, j : j + w] for name, ti in zip(rows, t)}
                 _fill(tile, r, rbar[sl, None], k, _cot(k, b, cbuf[:w]), b, prod, res)
             big = np.maximum(np.abs(t.max(axis=2)), np.abs(t.min(axis=2)))
             np.maximum(biggest[:, sl], big, out=biggest[:, sl])
@@ -278,9 +303,10 @@ def direct_sums(rs, b: int, rows, *, oracle: bool = False):
 
 def _values(f: ReducedFraction, rows, oracle: bool) -> tuple[SumValue, ...]:
     values, biggest = direct_sums([f.r], f.b, rows, oracle=oracle)
+    scale = (f.b - 1) * _EPS
     return tuple(
-        SumValue(float(v), err_bound=(f.b - 1) * _EPS * float(m), terms=f.b - 1)
-        for [v], [m] in zip(values, biggest)
+        SumValue(v, err_bound=scale * m, terms=f.b - 1)
+        for [v], [m] in zip(values.tolist(), biggest.tolist())
     )
 
 

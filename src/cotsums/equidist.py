@@ -35,10 +35,11 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
-from .core import _B_MAX, _check_modulus, _cot_values, _pairwise_dot, direct_sums
+from .core import _B_MAX, _check_modulus, _cot_values, _direct_sums, _pairwise_dot
 from .gseries import EmpiricalCDF, TruncatedGSeries
 
 __all__ = [
@@ -60,7 +61,10 @@ __all__ = [
 ]
 
 
-def _factorize(n: int) -> dict[int, int]:
+# Factorizations are cached, read-only: every check of a modulus and every
+# divisor table asks for them again, and `ramanujan` for each n.
+@lru_cache(maxsize=4096)
+def _factorize(n: int) -> MappingProxyType:
     factors: dict[int, int] = {}
     d = 2
     while d * d <= n:
@@ -70,7 +74,7 @@ def _factorize(n: int) -> dict[int, int]:
         d += 1 if d == 2 else 2
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
-    return factors
+    return MappingProxyType(factors)
 
 
 def euler_phi(b: int) -> int:
@@ -175,21 +179,39 @@ def _powers(g: int, e: int, n: int) -> np.ndarray:
     return pw
 
 
-def _c0_star(e: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every unit u mod e, and c0*(u; e) = -(1/e) sum_m m cot(pi m u / e) at each.
-
-    m runs over the units in 1..e-1.  With units indexed by their exponent
-    vectors (`_unit_axes`), the sum is a correlation on the unit group of
-    the weights m with the cot table read in index order.  For a cyclic
-    group of order n the cot sequence is wrapped once and both are
-    zero-padded to a power of two >= 2n - 1, where the linear correlation
-    equals the cyclic one: n = p - 1 often has a large prime factor, which
-    is slow to transform directly.  A group with several axes is transformed
-    at its exact shape; padding every axis costs more than it saves.
-    """
+def _index_map(e: int) -> np.ndarray:
+    """The units mod e at their exponent vectors: units[i] = prod_j g_j^(i_j)
+    mod e over the axes (g_j, n_j) of `_unit_axes(e)`, of shape (n_1, ...)."""
     units = np.ones((), dtype=np.int64)
     for g, n in _unit_axes(e):
         units = np.multiply.outer(units, _powers(g, e, n)) % e
+    return units
+
+
+def _inverses(units: np.ndarray) -> np.ndarray:
+    """The inverse of each unit of an index map, in the unit's place: the
+    unit at the negated exponent vector, -i mod (n_1, ...)."""
+    return units[np.ix_(*(-np.arange(n) % n for n in units.shape))]
+
+
+def _c0_star(e: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every unit u mod e, and c0*(u; e) = -(1/e) sum_m m cot(pi m u / e) at each."""
+    units = _index_map(e)
+    return units.reshape(-1), _correlate(units, e)
+
+
+def _correlate(units: np.ndarray, e: int) -> np.ndarray:
+    """c0*(u; e) at each unit u of the index map `units`, flattened.
+
+    m runs over the units in 1..e-1.  With units indexed by their exponent
+    vectors, the sum is a correlation on the unit group of the weights m
+    with the cot table read in index order.  For a cyclic group of order n
+    the cot sequence is wrapped once and both are zero-padded to a power of
+    two >= 2n - 1, where the linear correlation equals the cyclic one:
+    n = p - 1 often has a large prime factor, which is slow to transform
+    directly.  A group with several axes is transformed at its exact shape;
+    padding every axis costs more than it saves.
+    """
     if units.ndim <= 1:
         pw = units.reshape(-1)
         n = len(pw)
@@ -203,7 +225,7 @@ def _c0_star(e: int) -> tuple[np.ndarray, np.ndarray]:
         spectrum = np.conj(np.fft.rfftn(units.astype(float), axes=axes))
         spectrum *= np.fft.rfftn(_cot_values(e)[units], axes=axes)
         corr = np.fft.irfftn(spectrum, units.shape, axes=axes).reshape(-1)
-    return units.reshape(-1), -corr / e
+    return -corr / e
 
 
 def _part(e: int) -> np.ndarray:
@@ -228,7 +250,7 @@ def _small_part(e: int) -> np.ndarray:
 
 def _c0_fft(b: int) -> tuple[np.ndarray, np.ndarray]:
     """(c0 by r, units) for every b >= 2: c0(r/b) at index r of a length-b
-    array (0 where gcd(r, b) > 1), and the units mod b in index-map order.
+    array (0 where gcd(r, b) > 1), and the index map of b (`_index_map`).
 
     Write d = gcd(m, b) and e = b/d: the term of m is -(1/e) m' cot(pi m' r/e)
     with m = d m' and m' a unit mod e, so
@@ -238,7 +260,9 @@ def _c0_fft(b: int) -> tuple[np.ndarray, np.ndarray]:
     one unit-group correlation per divisor (`_c0_star`).  At prime b the
     group is cyclic and the sum has one term: the Rader correlation.
     """
-    units, acc = _c0_star(b)
+    units = _index_map(b)
+    acc = _correlate(units, b)
+    flat = units.reshape(-1)
     divisors = [1]
     for p, k in _factorize(b).items():
         divisors = [d * p**j for d in divisors for j in range(k + 1)]
@@ -246,9 +270,9 @@ def _c0_fft(b: int) -> tuple[np.ndarray, np.ndarray]:
     for e in sorted(divisors)[:-1]:
         if e > 2:
             part = _small_part(e) if e <= _SMALL_PART else _part(e)
-            acc += part[units % e]
+            acc += part[flat % e]
     out = np.zeros(b)
-    out[units] = acc
+    out[flat] = acc
     return out, units
 
 
@@ -279,16 +303,22 @@ def scan_arrays(window: ScanWindow):
 
 
 def batch_c0_vq(b: int):
-    """(r, c0, V, Q) for every r in 1..b-1 coprime to b.
+    """(r, c0, V, Q, rbar) for every r in 1..b-1 coprime to b, r rbar = 1 (mod b).
 
     c0 is the table of `batch_c0`.  V(r/b) = sum_m {m r / b} cot(pi m / b)
     and Q come from the direct kernel by their own formulas, so at every b
-    the identity suites compare independent routes: V against -c0(r*/b),
-    Q against the decomposition.
+    the identity suites compare independent routes: V against -c0(rbar/b),
+    Q against the decomposition.  rbar is read off the FFT's index map
+    (`_inverses`), and the kernel takes it from there.
     """
-    rs, c0 = batch_c0(b)
-    q, v = direct_sums(rs, b, ("q", "v"))[0]
-    return rs, c0, v, q
+    _check_modulus(b)
+    by_r, units = _c0_fft(b)
+    inverse = np.zeros(b, dtype=np.int64)  # nonzero exactly at the units
+    inverse[units] = _inverses(units)
+    rs = np.flatnonzero(inverse)
+    rbar = inverse[rs]
+    q, v = _direct_sums(rs, rbar, b, ("q", "v"))[0]
+    return rs, by_r[rs], v, q, rbar
 
 
 @dataclass

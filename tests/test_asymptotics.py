@@ -38,58 +38,6 @@ class TestZetaReal:
             asy.zeta_real(0.5)
 
 
-class TestEulerMaclaurin:
-    def test_square_sum_exact(self):
-        spec = asy.EulerMaclaurinSpec(
-            N=1,
-            Z=10.0,
-            f=lambda x: x * x,
-            derivative=lambda order, x: 2.0 * x if order == 1 else 0.0,
-            integral=1000.0 / 3.0,
-        )
-        est, bound = asy.euler_maclaurin_sum(spec)
-        assert est == 385.0
-        assert bound == 0.0
-
-    def test_harmonic_containment(self):
-        def deriv(order, x):
-            return (-1.0) ** order * math.factorial(order) / (x + 1.0) ** (order + 1)
-
-        spec = asy.EulerMaclaurinSpec(
-            N=2,
-            Z=99.0,
-            f=lambda x: 1.0 / (x + 1.0),
-            derivative=deriv,
-            integral=math.log(100.0),
-        )
-        est, bound = asy.euler_maclaurin_sum(spec)
-        h100 = math.fsum(1.0 / k for k in range(1, 101))
-        assert est == pytest.approx(5.185161852738092, abs=1e-12)
-        assert abs(est - h100) <= bound
-        assert bound < 0.01
-
-    def test_constant_function(self):
-        spec = asy.EulerMaclaurinSpec(
-            N=1,
-            Z=5.0,
-            f=lambda x: 1.0,
-            derivative=lambda order, x: 0.0,
-            integral=5.0,
-        )
-        assert asy.euler_maclaurin_sum(spec) == (6.0, 0.0)
-
-    def test_missing_derivative_is_an_error(self):
-        spec = asy.EulerMaclaurinSpec(
-            N=1,
-            Z=2.0,
-            f=lambda x: x,
-            derivative=lambda order, x: None,
-            integral=2.0,
-        )
-        with pytest.raises(ValueError):
-            asy.euler_maclaurin_sum(spec)
-
-
 class TestPartialSums:
     def test_s_sum_values(self):
         assert asy.s_sum(10, 3) == pytest.approx(96.0 / 7.0, abs=1e-12)
@@ -119,14 +67,6 @@ class TestPartialSums:
         assert max(cs) - min(cs) < 1e-3
         assert all(57.0 < v < 58.5 for v in cs)
         assert cs[0] / 100.0 == pytest.approx(GAMMA, rel=1e-4)
-
-
-class TestSeriesConstants:
-    def test_d1_value_and_closed_form(self):
-        d1 = asy.const_D1()
-        assert d1 == pytest.approx(0.36966929924609315, abs=1e-15)
-        closed = 1.0 + GAMMA / 2.0 - math.log(2.0 * math.pi) / 2.0
-        assert d1 == pytest.approx(closed, abs=1e-13)
 
 
 class TestExpansion:

@@ -144,6 +144,32 @@ class TestFusedSweep:
                     assert np.array_equal(biggest[i], one[row][1][0]), rows
 
     @pytest.mark.parametrize("oracle", [False, True])
+    @pytest.mark.parametrize(
+        "b,n",
+        [
+            # half = (b-1)//2 = _TILE_K: one tile at one residue and at
+            # _CELLS // half residues, the chunk loop one residue above that
+            *((2 * core._TILE_K + 1, n) for n in (1, core._CELLS // core._TILE_K, core._CELLS // core._TILE_K + 1)),
+            # half = _TILE_K + 1: two tiles of one chunk
+            *((2 * core._TILE_K + 3, n) for n in (1, 2)),
+            # half = 1024: len(rs) * half = _CELLS, and just above it
+            (2049, core._CELLS // 1024),
+            (2049, core._CELLS // 1024 + 1),
+        ],
+    )
+    def test_one_tile_edges_equal_scalar_sums(self, b, n, oracle):
+        # r = 1 makes Q(1/b) = +0.0, whose sign must survive either path
+        rs = [r for r in range(1, b) if math.gcd(r, b) == 1][:n]
+        values, biggest = core.direct_sums(rs, b, core._ROWS, oracle=oracle)
+        for i in sorted({0, 1, n // 2, n - 1} & set(range(n))):
+            f = ReducedFraction(rs[i], b)
+            for row, fn in enumerate((c0, q_sum, vasyunin)):
+                got = fn(f, oracle=oracle)
+                assert np.float64(got.value).tobytes() == values[row, i].tobytes(), (rs[i], row)
+                assert got.err_bound == (b - 1) * core._EPS * biggest[row, i], (rs[i], row)
+        assert np.float64(q_sum(ReducedFraction(1, b), oracle=oracle).value).tobytes() == bytes(8)
+
+    @pytest.mark.parametrize("oracle", [False, True])
     def test_int64_batch_equals_int32_batch(self, oracle):
         # one residue with b * r >= 2^31 puts the whole batch in int64
         b, rs = 46337, [2, 28640, 46336]

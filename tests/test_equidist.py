@@ -94,14 +94,14 @@ class TestBatchC0:
 
     def test_v_column_matches_scalar_vasyunin(self):
         for r, b in ((3, 7), (5, 97), (7, 100), (45, 101), (700, 1009)):
-            rs, _, vv, _ = equidist.batch_c0_vq(b)
+            rs, _, vv, _, _ = equidist.batch_c0_vq(b)
             want = vasyunin(ReducedFraction(r, b))
             assert abs(vv[list(rs).index(r)] - want.value) <= 2.0 * want.err_bound
 
     @pytest.mark.parametrize("b", [105, 3003])
     def test_direct_rows_equal_scalar_sums(self, b):
         # one direct kernel serves the V and Q columns, a batch c0 and the scalar calls
-        rs, _, vv, qv = equidist.batch_c0_vq(b)
+        rs, _, vv, qv, _ = equidist.batch_c0_vq(b)
         [c0d], _ = direct_sums(rs, b, ("c0",))
         for i, r in enumerate(rs.tolist()):
             f = ReducedFraction(r, b)
@@ -168,6 +168,18 @@ class TestUnitGroupFFT:
         for e in range(2, 400):
             units, _ = equidist._c0_star(e)
             assert np.array_equal(np.sort(units), equidist._coprime(1, e, e)), e
+
+    def test_index_map_inverses_equal_pow(self):
+        # the inverse of the unit at exponent vector i sits at -i; 8, 16, 48 and
+        # 720 have a 2^k factor with its two axes, -1 and 5
+        for b in [*range(2, 2001), 30030]:
+            units = equidist._index_map(b)
+            u, v = units.reshape(-1), np.reshape(equidist._inverses(units), -1)
+            assert np.all(u * v % b == 1 % b), b
+            assert v.tolist() == [pow(x, -1, b) for x in u.tolist()], b
+        for b in (2, 8, 16, 48, 720):
+            rs, _, _, _, rbar = equidist.batch_c0_vq(b)
+            assert rbar.tolist() == [pow(r, -1, b) for r in rs.tolist()], b
 
     def test_generator_lift(self):
         # 5 is the least primitive root mod p = 40487 and 5^(p-1) = 1 mod p^2,
