@@ -296,7 +296,7 @@ def _suite_gmachinery():
     t6 = gseries.TruncatedGSeries(6)
     s = gseries.fourier_coeffs_f(t6, 1 << 18)
     mass = 0.5 * core._pairwise_dot(s, s)
-    grid_vals = gseries._f_offset_grid(100_000, 0.5 + (100_000 * 0.6180339887498949) % 1.0, 6)
+    grid_vals = gseries._f_offset_grid(100_000, gseries._grid_offset(100_000), 6)
     grid_mass = float(np.mean(grid_vals**2))
     parseval_rel = abs(mass - grid_mass) / grid_mass
     ok = ok and parseval_rel < 1e-3

@@ -148,33 +148,28 @@ def _pairwise_dot(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _two_sum(a, c):
-    # Knuth's error-free TwoSum: s + e == a + c exactly.
+    # Knuth's error-free TwoSum: s + e == a + c exactly, e = (a - (s - v)) + (c - v).
     s = a + c
     v = s - a
-    return s, (a - (s - v)) + (c - v)
+    e = s - v
+    np.subtract(a, e, out=e)
+    e += np.subtract(c, v, out=v)
+    return s, e
 
 
-def _two_sum_tree(t: np.ndarray, spare: np.ndarray):
+def _two_sum_tree(t: np.ndarray):
     # Pairwise tree of TwoSums along each row of t: (root, sum of every error).
-    # Levels alternate between t's storage (overwritten) and spare[0]; spare[1]
-    # holds s - a and spare[2] the level's errors, as contiguous rows.  Each of
-    # the three flat buffers needs len(t) * ceil(t.shape[1] / 2) elements.
-    rows, n = t.shape
-    lo = np.zeros(rows)
-    cur, nxt = t.reshape(-1), spare[0]
-    while n > 1:
-        h = n // 2
-        t = cur[: rows * n].reshape(rows, n)
-        s = nxt[: rows * (n - h)].reshape(rows, n - h)
-        v, e = (x[: rows * h].reshape(rows, h) for x in spare[1:])
-        a, c = t[:, 0 : 2 * h : 2], t[:, 1 : 2 * h : 2]
-        np.subtract(np.add(a, c, out=s[:, :h]), a, out=v)
-        np.subtract(a, np.subtract(s[:, :h], v, out=e), out=e)
-        np.add(e, np.subtract(c, v, out=v), out=e)
+    # Each level allocates its sums and errors, half of its columns each, and
+    # drops them before the next level is formed, so the tree holds at most
+    # 1.5 times t beside t (the first level's s, s - a and errors).
+    lo = np.zeros(len(t))
+    while t.shape[1] > 1:
+        even = t.shape[1] & ~1
+        s, e = _two_sum(t[:, 0:even:2], t[:, 1:even:2])
         lo += np.add.reduce(e, axis=1)
-        s[:, h:] = t[:, 2 * h :]
-        cur, nxt, n = nxt, cur, n - h
-    return cur[:rows], lo
+        t = np.concatenate([s, t[:, even:]], axis=1) if even < t.shape[1] else s
+        del s, e
+    return t[:, 0], lo
 
 
 def _mod_product(s, k, b: int, prod: np.ndarray, res: np.ndarray) -> np.ndarray:
@@ -221,7 +216,7 @@ def direct_sums(rs, b: int, rows, *, oracle: bool = False):
     (`np.add.reduce`, one call over the (rows, residues, k) block), or with
     `oracle` by a pairwise tree of TwoSums plus their summed errors (after
     Sum2 of Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005), one tree
-    per row, so its spare buffer holds one row of a block; chunk results are
+    per row, which allocates per level, one row at a time; chunk results are
     added in k order by TwoSum, starting from +0.0.  So a value does not
     depend on the other residues or rows.  A default-precision call whose
     terms fit one tile, (b-1)//2 <= `_TILE_K` and len(rs) (b-1)//2 <=
@@ -271,7 +266,6 @@ def _direct_sums(rs: np.ndarray, rbar, b: int, rows, oracle: bool = False):
     terms = np.empty((len(rows), block * chunk))
     ints = np.empty((2, block * width), dtype=dtype)
     cbuf = np.empty(width)
-    spare = np.empty((3, block * (chunk - chunk // 2))) if oracle else None
     for k0 in range(1, half + 1, chunk):
         n = min(chunk, half + 1 - k0)
         for start in range(0, len(rs), block):
@@ -289,15 +283,11 @@ def _direct_sums(rs: np.ndarray, rbar, b: int, rows, oracle: bool = False):
             if oracle:
                 h, l = np.empty((2, len(rows), len(r)))
                 for i, ti in enumerate(t):
-                    h[i], l[i] = _two_sum_tree(ti, spare)
+                    h[i], l[i] = _two_sum_tree(ti)
             else:
                 h, l = np.add.reduce(t, axis=2), 0.0
-            if k0 == 1:  # TwoSum(+0.0, h) = (+0.0 + h, +0.0)
-                hi[:, sl] += h
-            else:
-                hi[:, sl], e = _two_sum(hi[:, sl], h)
-                l = l + e
-            lo[:, sl] += l
+            hi[:, sl], e = _two_sum(hi[:, sl], h)
+            lo[:, sl] += l + e
     return hi + lo, biggest
 
 

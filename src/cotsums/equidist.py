@@ -194,12 +194,6 @@ def _inverses(units: np.ndarray) -> np.ndarray:
     return units[np.ix_(*(-np.arange(n) % n for n in units.shape))]
 
 
-def _c0_star(e: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every unit u mod e, and c0*(u; e) = -(1/e) sum_m m cot(pi m u / e) at each."""
-    units = _index_map(e)
-    return units.reshape(-1), _correlate(units, e)
-
-
 def _correlate(units: np.ndarray, e: int) -> np.ndarray:
     """c0*(u; e) at each unit u of the index map `units`, flattened.
 
@@ -229,10 +223,11 @@ def _correlate(units: np.ndarray, e: int) -> np.ndarray:
 
 
 def _part(e: int) -> np.ndarray:
-    """c0*(u; e) at index u of a length-e array (0 at the non-units)."""
+    """c0*(u; e) = -(1/e) sum_m m cot(pi m u / e) at index u of a length-e
+    array, for every unit u mod e (0 at the non-units)."""
     part = np.zeros(e)
-    units, values = _c0_star(e)
-    part[units] = values
+    units = _index_map(e)
+    part[units.reshape(-1)] = _correlate(units, e)
     return part
 
 
@@ -257,7 +252,7 @@ def _c0_fft(b: int) -> tuple[np.ndarray, np.ndarray]:
 
         c0(r/b) = sum over divisors e > 1 of b of c0*(r mod e; e),
 
-    one unit-group correlation per divisor (`_c0_star`).  At prime b the
+    one unit-group correlation per divisor (`_correlate`).  At prime b the
     group is cyclic and the sum has one term: the Rader correlation.
     """
     units = _index_map(b)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -93,17 +94,6 @@ class TestDirectSums:
     def test_rejects_bad_rows(self, rows):
         with pytest.raises(ValueError, match="distinct names"):
             core.direct_sums([1], 7, rows)
-
-
-def _allocating_tree(t):
-    # reference: the TwoSum tree that concatenates a new array on every level
-    lo = np.zeros(len(t))
-    while t.shape[1] > 1:
-        even = t.shape[1] & ~1
-        s, e = core._two_sum(t[:, 0:even:2], t[:, 1:even:2])
-        lo += np.add.reduce(e, axis=1)
-        t = np.concatenate([s, t[:, even:]], axis=1)
-    return t[:, 0], lo
 
 
 class TestFusedSweep:
@@ -206,14 +196,20 @@ class TestFusedSweep:
         assert core.cot_table.cache_info() == before
 
     def test_memory_of_a_point_value_is_bounded_by_a_chunk(self):
-        # a cot table at this b alone would take 16 MB; a chunk of terms is 2 MB
+        # a cot table at this b alone would take 16 MB; a chunk of terms is 2 MB.
+        # The oracle sums a chunk of each row by its own TwoSum tree; one tree
+        # over the whole (rows, k) block would read about 16 MB here.
+        calls = (lambda: c0(ReducedFraction(1, 2_000_003)),
+                 lambda: core.c0_q_v(ReducedFraction(412345, 1_000_003), oracle=True))
         tracemalloc.start()
         try:
-            c0(ReducedFraction(1, 2_000_003))
-            _, peak = tracemalloc.get_traced_memory()
+            for call in calls:
+                tracemalloc.reset_peak()
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+                assert peak < 12 << 20, call
         finally:
             tracemalloc.stop()
-        assert peak < 12 << 20
 
 
 class TestTwoSumTree:
@@ -222,14 +218,18 @@ class TestTwoSumTree:
         "n", [*range(1, 10), *(2**k + d for k in range(4, 13) for d in (-1, 1))]
     )
     def test_in_place_tree_equals_allocating_tree(self, n, rows):
+        """The tree's root + lo obeys Sum2's bound against the exact rational sum S:
+        |fl(root + lo) - S| <= u |S| + gamma_(n-1)^2 sum |t|, u = 2^-53 (Ogita,
+        Rump and Oishi, SIAM J. Sci. Comput. 26, 2005, Prop. 4.5)."""
         # terms of mixed signs across 40 binades make every level carry errors
         rng = np.random.default_rng(n)
         t = rng.standard_normal((rows, n)) * 2.0 ** rng.integers(-20, 20, (rows, n))
-        want_root, want_lo = _allocating_tree(t)
-        spare = np.empty((3, rows * (n - n // 2)))
-        root, lo = core._two_sum_tree(t.copy(), spare)
-        assert np.array_equal(root, want_root)
-        assert np.array_equal(lo, want_lo)
+        root, lo = core._two_sum_tree(t.copy())
+        gamma = Fraction(n - 1, 2**53 - (n - 1))
+        for i, row in enumerate(t.tolist()):
+            exact = sum(map(Fraction, row))
+            bound = abs(exact) / 2**53 + gamma**2 * sum(abs(Fraction(x)) for x in row)
+            assert abs(Fraction(float(root[i] + lo[i])) - exact) <= bound, i
 
 
 class TestReducedFraction:

@@ -166,7 +166,7 @@ class TestUnitGroupFFT:
 
     def test_index_map_covers_every_unit_once(self):
         for e in range(2, 400):
-            units, _ = equidist._c0_star(e)
+            units = equidist._index_map(e).reshape(-1)
             assert np.array_equal(np.sort(units), equidist._coprime(1, e, e)), e
 
     def test_index_map_inverses_equal_pow(self):
