@@ -23,10 +23,10 @@ generated by a primitive root g; with m = g^i and r = g^j,
 
     c0(g^j/p) = -(1/p) sum_i (g^i mod p) cot(pi g^(i+j) / p),
 
-a cyclic correlation of length p-1 (Rader, Proc. IEEE 56, 1968),
-O(p log p) for all p-1 values together.  `core.direct_sums` gives V and Q
-by their own formulas (`batch_c0_vq`), so identity checks compare
-independent routes.  Every kernel here is serial.
+a correlation on the group (Rader, Proc. IEEE 56, 1968), halved by oddness
+and O(p log p) for all p-1 values together (`_correlate`).
+`core.direct_sums` gives V and Q by their own formulas (`batch_c0_vq`), so
+identity checks compare independent routes.  Every kernel here is serial.
 """
 
 from __future__ import annotations
@@ -194,32 +194,50 @@ def _inverses(units: np.ndarray) -> np.ndarray:
     return units[np.ix_(*(-np.arange(n) % n for n in units.shape))]
 
 
+def _smooth_size(n: int) -> int:
+    """The least 2^i 3^j 5^k >= n, a length that pocketfft transforms fast."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            size = p35 << ((n - 1) // p35).bit_length()  # the least p35 * 2^i >= n
+            if size < best:
+                best = size
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _correlate(units: np.ndarray, e: int) -> np.ndarray:
     """c0*(u; e) at each unit u of the index map `units`, flattened.
 
     m runs over the units in 1..e-1.  With units indexed by their exponent
     vectors, the sum is a correlation on the unit group of the weights m
-    with the cot table read in index order.  For a cyclic group of order n
-    the cot sequence is wrapped once and both are zero-padded to a power of
-    two >= 2n - 1, where the linear correlation equals the cyclic one:
-    n = p - 1 often has a large prime factor, which is slow to transform
-    directly.  A group with several axes is transformed at its exact shape;
-    padding every axis costs more than it saves.
+    with the cot table read in index order.  A cyclic group of order n > 1,
+    generated by g, holds -1 = g^(n/2), so m and e - m = g^(i+n/2) pair up:
+
+        c0*(g^j; e) = -(1/e) sum_{i<n/2} (2 (g^i mod e) - e) cot(pi g^(i+j)/e).
+
+    For j < n/2, i + j < n - 1: a linear correlation with the cot table at
+    g^k, k < n - 1, read with no wrap and zero-padded to the least 5-smooth
+    length >= n - 1 (n - 1 can have a large prime factor, slow to transform).
+    c0*(g^(j+n/2)) = -c0*(g^j) is the other half, so oddness is exact;
+    c0*(1; 2) = -cot(pi/2)/2 = +0.0.  Several axes are transformed at their
+    exact shape; padding every axis costs more than it saves.
     """
     if units.ndim <= 1:
-        pw = units.reshape(-1)
-        n = len(pw)
-        cots = _cot_values(e)[pw]
-        size = 1 << (2 * n - 2).bit_length()
-        spectrum = np.conj(np.fft.rfft(pw.astype(float), size))
-        spectrum *= np.fft.rfft(np.concatenate([cots, cots[: n - 1]]), size)
-        corr = np.fft.irfft(spectrum, size)[:n]
-    else:
-        axes = tuple(range(units.ndim))
-        spectrum = np.conj(np.fft.rfftn(units.astype(float), axes=axes))
-        spectrum *= np.fft.rfftn(_cot_values(e)[units], axes=axes)
-        corr = np.fft.irfftn(spectrum, units.shape, axes=axes).reshape(-1)
-    return -corr / e
+        pw, n = units.reshape(-1), units.size
+        if n == 1:
+            return np.zeros(1)
+        size = _smooth_size(n - 1)
+        spectrum = np.conj(np.fft.rfft(2.0 * pw[: n // 2] - e, size))
+        spectrum *= np.fft.rfft(_cot_values(e)[pw[: n - 1]], size)
+        half = np.fft.irfft(spectrum, size)[: n // 2] / -e
+        return np.concatenate([half, -half])
+    axes = tuple(range(units.ndim))
+    spectrum = np.conj(np.fft.rfftn(units.astype(float), axes=axes))
+    spectrum *= np.fft.rfftn(_cot_values(e)[units], axes=axes)
+    return np.fft.irfftn(spectrum, units.shape, axes=axes).reshape(-1) / -e
 
 
 def _part(e: int) -> np.ndarray:
@@ -261,11 +279,10 @@ def _c0_fft(b: int) -> tuple[np.ndarray, np.ndarray]:
     divisors = [1]
     for p, k in _factorize(b).items():
         divisors = [d * p**j for d in divisors for j in range(k + 1)]
-    # e = 2 adds c0*(1; 2) = -cot(pi/2)/2 = 0
-    for e in sorted(divisors)[:-1]:
-        if e > 2:
-            part = _small_part(e) if e <= _SMALL_PART else _part(e)
-            acc += part[flat % e]
+    # b itself is acc; e = 2 adds c0*(1; 2) = -cot(pi/2)/2 = 0
+    for e in sorted(set(divisors) - {1, 2, b}):
+        part = _small_part(e) if e <= _SMALL_PART else _part(e)
+        acc += part[flat % e]
     out = np.zeros(b)
     out[flat] = acc
     return out, units

@@ -125,6 +125,42 @@ class TestBatchC0:
             assert batch[1, i] == q_sum(f, oracle=oracle).value
             assert batch[2, i] == vasyunin(f, oracle=oracle).value
 
+    def test_one_unit_group_gives_plus_zero(self):
+        # c0(1/2) = -cot(pi/2)/2 is +0.0, as the scalar route gives it
+        assert math.copysign(1.0, equidist.batch_c0(2)[1][0]) == 1.0
+
+    def test_every_b_to_129_within_err_bound_of_scalar_sums(self):
+        # groups of order 1 and 2, e = 4, the cyclic 2 p^k and the several-axis
+        # composites, each value against the direct kernel's scalar sum
+        for b in range(2, 130):
+            rs, c0v = equidist.batch_c0(b)
+            for r, v in zip(rs.tolist(), c0v.tolist()):
+                want = c0(ReducedFraction(r, b))
+                assert abs(v - want.value) <= want.err_bound, (r, b)
+
+    @pytest.mark.parametrize("b", [1009, 99991, 2187, 4374, 6250])
+    def test_oddness_is_exact_for_cyclic_groups(self, b):
+        # p, 3^7, 2*3^7 and 2*5^5: every divisor table holds c0*(e - u) = -c0*(u)
+        # bit for bit, and the divisor sums add the same terms in the same order
+        rs, c0v = equidist.batch_c0(b)
+        by_r, _ = equidist._c0_fft(b)
+        assert np.array_equal(by_r[b - rs].view(np.uint64), (-c0v).view(np.uint64))
+
+    def test_memory_per_b_is_bounded(self, fresh_child):
+        # one prime table in a fresh interpreter, whose ru_maxrss is in KiB on
+        # Linux: the half-length correlation grows it by about 53 bytes per b;
+        # the wrapped cyclic correlation at a power of two took 107
+        b = 1999993
+        script = (
+            "import resource\n"
+            "from cotsums import equidist\n"
+            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak()\n"
+            f"equidist.batch_c0({b})\n"
+            "print(peak() - before)\n"
+        )
+        assert int(fresh_child(script)) * 1024 <= 80 * b
+
     def test_rejects_modulus_past_int64_products(self):
         misses = cot_table.cache_info().misses
         for fn in (equidist.batch_c0, equidist.batch_c0_vq):
@@ -138,6 +174,27 @@ class TestBatchC0:
         before = cot_table.cache_info()
         equidist.batch_c0(30030)
         assert cot_table.cache_info() == before
+
+
+def _smooth(m: np.ndarray) -> np.ndarray:
+    # True where m has no prime factor above 5
+    for p in (2, 3, 5):
+        for _ in range(int(m.max()).bit_length()):
+            m = np.where(m % p == 0, m // p, m)
+    return m == 1
+
+
+class TestSmoothSize:
+    def test_least_5_smooth_at_or_above_n(self):
+        m = np.arange(1, 20_481)
+        # the least smooth m >= n for n = 1..20000: a running minimum from the top
+        least = np.minimum.accumulate(np.where(_smooth(m), m, m[-1])[::-1])[::-1]
+        assert [equidist._smooth_size(n) for n in range(1, 20_001)] == least[:20_000].tolist()
+
+    @pytest.mark.parametrize("n", [2000001, 4999997, 9999989])
+    def test_large_sizes(self, n):
+        m = np.arange(n, n + (1 << 18))
+        assert equidist._smooth_size(n) == m[np.argmax(_smooth(m))]
 
 
 class TestUnitGroupFFT:
