@@ -23,8 +23,9 @@ generated by a primitive root g; with m = g^i and r = g^j,
 
     c0(g^j/p) = -(1/p) sum_i (g^i mod p) cot(pi g^(i+j) / p),
 
-a correlation on the group (Rader, Proc. IEEE 56, 1968), halved by oddness
-and O(p log p) for all p-1 values together (`_correlate`).
+a correlation on the group (Rader, Proc. IEEE 56, 1968).  -1 sits at exponent
+0 or n/2 on each axis, so m pairs with e - m across the halves of one axis:
+linear along it, cyclic along the others, and exactly odd (`_correlate`).
 `core.direct_sums` gives V and Q by their own formulas (`batch_c0_vq`), so
 identity checks compare independent routes.  Every kernel here is serial.
 """
@@ -151,10 +152,10 @@ def _prime_power_root(p: int, k: int) -> int:
 def _unit_axes(e: int) -> list[tuple[int, int]]:
     """(generator, order) of each cyclic factor of the unit group (Z/e)^*.
 
-    Per prime power q = p^k of e: one axis for odd p; none for 2; the element
-    -1 for 4; -1 and 5 for 2^k, k >= 3.  Each generator is lifted by CRT to
-    be 1 mod e/q, so a product of generator powers runs over every unit once
-    (the prime-factor index map of Good, J. R. Stat. Soc. B 20, 1958).
+    Per prime power q = p^k of e, by ascending p: one axis for odd p; none
+    for 2; the element -1 for 4; -1 and 5 for 2^k, k >= 3.  Each generator
+    is lifted by CRT to be 1 mod e/q, so a product of generator powers runs
+    over every unit once (the prime-factor index map of Good, 1958).
     """
     axes = []
     for p, k in _factorize(e).items():
@@ -208,44 +209,45 @@ def _smooth_size(n: int) -> int:
     return best
 
 
-def _correlate(units: np.ndarray, e: int) -> np.ndarray:
-    """c0*(u; e) at each unit u of the index map `units`, flattened.
+def _correlate(units: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c0*(u; e), u) at every unit u of the index map U = `units`, flat:
+    first u = U[i] with i_a < n_a/2, then e - u.
 
-    m runs over the units in 1..e-1.  With units indexed by their exponent
-    vectors, the sum is a correlation on the unit group of the weights m
-    with the cot table read in index order.  A cyclic group of order n > 1,
-    generated by g, holds -1 = g^(n/2), so m and e - m = g^(i+n/2) pair up:
+    The sum over the units m is a correlation of the weights m with the cot
+    table, both read in index order.  -1 = U[s] has order 2: s_j = n_j/2 on
+    every axis but that of 5 (axis 1 when 8 | e), where s_j = 0.  On the
+    shortest axis a with s_a > 0, m = U[i] and e - m = U[i+s] lie in
+    opposite halves, and cot(pi (e - x)/e) = -cot(pi x/e), so
 
-        c0*(g^j; e) = -(1/e) sum_{i<n/2} (2 (g^i mod e) - e) cot(pi g^(i+j)/e).
+        c0*(U[j]; e) = -(1/e) sum_{i_a < n_a/2} (2 U[i] - e) cot(pi U[i+j]/e).
 
-    For j < n/2, i + j < n - 1: a linear correlation with the cot table at
-    g^k, k < n - 1, read with no wrap and zero-padded to the least 5-smooth
-    length >= n - 1 (n - 1 can have a large prime factor, slow to transform).
-    c0*(g^(j+n/2)) = -c0*(g^j) is the other half, so oddness is exact;
-    c0*(1; 2) = -cot(pi/2)/2 = +0.0.  Several axes are transformed at their
-    exact shape; padding every axis costs more than it saves.
+    For j_a < n_a/2, i_a + j_a < n_a - 1: the correlation is linear along a,
+    reading the cot table at k_a < n_a - 1 with no wrap, zero-padded to the
+    least 5-smooth length >= n_a - 1 (n_a - 1 may have a large prime factor),
+    and cyclic at exact length along the other axes; an order-2 axis a
+    (3 | e or 4 | e) shrinks to length 1.  On one axis this is the Rader
+    correlation.  c0*(e - u) = -c0*(u) is the other half: oddness is exact.
     """
-    if units.ndim <= 1:
-        pw, n = units.reshape(-1), units.size
-        if n == 1:
-            return np.zeros(1)
-        size = _smooth_size(n - 1)
-        spectrum = np.conj(np.fft.rfft(2.0 * pw[: n // 2] - e, size))
-        spectrum *= np.fft.rfft(_cot_values(e)[pw[: n - 1]], size)
-        half = np.fft.irfft(spectrum, size)[: n // 2] / -e
-        return np.concatenate([half, -half])
-    axes = tuple(range(units.ndim))
-    spectrum = np.conj(np.fft.rfftn(units.astype(float), axes=axes))
-    spectrum *= np.fft.rfftn(_cot_values(e)[units], axes=axes)
-    return np.fft.irfftn(spectrum, units.shape, axes=axes).reshape(-1) / -e
+    if units.size == 1:  # e = 2: c0*(1; 2) = -cot(pi/2)/2 = +0.0
+        return np.zeros(1), units.reshape(-1)
+    a = min((j for j in range(units.ndim) if j != 1 or e % 8), key=units.shape.__getitem__)
+    n = units.shape[a]
+    axes = (*range(a), *range(a + 1, units.ndim), a)  # a last: the real-FFT axis
+    sizes = [units.shape[j] for j in axes[:-1]] + [_smooth_size(n - 1)]
+    half = (slice(None),) * a + (slice(n // 2),)
+    first = units[half]
+    spectrum = np.conj(np.fft.rfftn(2.0 * first - e, sizes, axes))
+    spectrum *= np.fft.rfftn(_cot_values(e)[units[(slice(None),) * a + (slice(n - 1),)]], sizes, axes)
+    values = np.fft.irfftn(spectrum, sizes, axes)[half] / -e
+    return np.concatenate([values, -values], None), np.concatenate([first, e - first], None)
 
 
 def _part(e: int) -> np.ndarray:
     """c0*(u; e) = -(1/e) sum_m m cot(pi m u / e) at index u of a length-e
     array, for every unit u mod e (0 at the non-units)."""
     part = np.zeros(e)
-    units = _index_map(e)
-    part[units.reshape(-1)] = _correlate(units, e)
+    values, units = _correlate(_index_map(e), e)
+    part[units] = values
     return part
 
 
@@ -270,12 +272,10 @@ def _c0_fft(b: int) -> tuple[np.ndarray, np.ndarray]:
 
         c0(r/b) = sum over divisors e > 1 of b of c0*(r mod e; e),
 
-    one unit-group correlation per divisor (`_correlate`).  At prime b the
-    group is cyclic and the sum has one term: the Rader correlation.
+    one unit-group correlation per divisor (`_correlate`), one in all at prime b.
     """
     units = _index_map(b)
-    acc = _correlate(units, b)
-    flat = units.reshape(-1)
+    acc, flat = _correlate(units, b)
     divisors = [1]
     for p, k in _factorize(b).items():
         divisors = [d * p**j for d in divisors for j in range(k + 1)]

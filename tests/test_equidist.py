@@ -213,6 +213,14 @@ class TestUnitGroupFFT:
             bound = c0(ReducedFraction(r, b)).err_bound
             assert abs(by_r[r] - _mp_c0(r, b)) <= bound, r
 
+    def test_oddness_is_bitwise_exact(self):
+        # c0((b-r)/b) = -c0(r/b) bit for bit at every b, whatever the shape of
+        # its unit group: each divisor's correlation gives its second half as
+        # the negated first.  (b = 2 has one unit, c0(1/2) = +0.0.)
+        for b in [*range(3, 2001), 30030, 90090, 100000, 720720]:
+            _, c0v = equidist.batch_c0(b)
+            assert np.array_equal(c0v[::-1].view(np.uint64), (-c0v).view(np.uint64)), b
+
     def test_matches_direct_kernel_every_composite_b_to_64(self):
         for b in range(4, 65):
             if equidist._factorize(b) == {b: 1}:
@@ -255,10 +263,8 @@ class TestUnitGroupFFT:
     def test_identities_near_1e5(self, b):
         rs, c0v = equidist.batch_c0(b)
         by_r, _ = equidist._c0_fft(b)
-        # Oddness at every unit.  Each c0 sum has a term of size about
-        # cot(pi/b)/2 or more (where m r = +-1), so the bounds of a pair add up
-        # to at least the bound at r = 1, whose largest term is about cot(pi/b).
-        assert np.max(np.abs(by_r[b - rs] + c0v)) <= c0(ReducedFraction(1, b)).err_bound
+        # oddness at every unit, bit for bit
+        assert np.array_equal(by_r[b - rs].view(np.uint64), (-c0v).view(np.uint64))
         picks = rs[np.random.default_rng(b).choice(len(rs), 16, replace=False)]
         rbar = np.array([pow(int(r), -1, b) for r in picks.tolist()])
         [q, v], qv_big = direct_sums(picks, b, ("q", "v"))
