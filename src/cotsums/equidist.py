@@ -26,12 +26,15 @@ generated by a primitive root g; with m = g^i and r = g^j,
 a correlation on the group (Rader, Proc. IEEE 56, 1968).  -1 sits at exponent
 0 or n/2 on each axis, so m pairs with e - m across the halves of one axis:
 linear along it, cyclic along the others, and exactly odd (`_correlate`).
+b's index map is the one layout: each divisor's map is a corner of it, read
+mod e, and each divisor's values add into b's table through a reshaped view.
 `core.direct_sums` gives V and Q by their own formulas (`batch_c0_vq`), so
 identity checks compare independent routes.  Every kernel here is serial.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -62,8 +65,8 @@ __all__ = [
 ]
 
 
-# Factorizations are cached, read-only: every check of a modulus and every
-# divisor table asks for them again, and `ramanujan` for each n.
+# Factorizations are cached, read-only: every check of a modulus asks for
+# them again, and `ramanujan` for each n.
 @lru_cache(maxsize=4096)
 def _factorize(n: int) -> MappingProxyType:
     factors: dict[int, int] = {}
@@ -149,6 +152,15 @@ def _prime_power_root(p: int, k: int) -> int:
     return g + p if k >= 2 and pow(g, p - 1, p * p) == 1 else g
 
 
+def _axis_lengths(p: int, k: int, j: int) -> list[int]:
+    """The lengths of the axes of p^k (`_unit_axes`) read mod p^j, 0 <= j <= k:
+    phi(p^j) on odd p's axis; for p = 2, 2 or 1 on the axis of -1 (k >= 2)
+    and 2^(j-2) or 1 on the axis of 5 (k >= 3)."""
+    if p > 2:
+        return [p**j - p**j // p]
+    return [2 if j >= 2 else 1, 1 << max(j - 2, 0)][: k - 1]
+
+
 def _unit_axes(e: int) -> list[tuple[int, int]]:
     """(generator, order) of each cyclic factor of the unit group (Z/e)^*.
 
@@ -160,24 +172,19 @@ def _unit_axes(e: int) -> list[tuple[int, int]]:
     axes = []
     for p, k in _factorize(e).items():
         q = p**k
-        if p > 2:
-            gens = [(_prime_power_root(p, k), q - q // p)]
-        else:
-            gens = ([(q - 1, 2)] if k >= 2 else []) + ([(5, q // 4)] if k >= 3 else [])
+        gens = [_prime_power_root(p, k)] if p > 2 else [q - 1, 5]  # zip keeps the k - 1 <= 2 axes of 2^k
         rest = e // q
-        axes += [(1 + rest * ((g - 1) * pow(rest, -1, q) % q), n) for g, n in gens]
+        axes += [(1 + rest * ((g - 1) * pow(rest, -1, q) % q), n) for g, n in zip(gens, _axis_lengths(p, k, k))]
     return axes
 
 
 def _powers(g: int, e: int, n: int) -> np.ndarray:
-    """g^i mod e for i = 0..n-1, doubling the filled prefix each step."""
-    pw = np.ones(n, dtype=np.int64)
-    k = 1
-    while k < n:
-        step = min(k, n - k)
-        pw[k : k + step] = pw[:step] * pow(g, k, e) % e
-        k += step
-    return pw
+    """g^i mod e for i = 0..n-1: g^(i s + j) = (g^s)^i g^j with s = ceil(sqrt(n)),
+    one outer product of two runs of s powers."""
+    s = math.isqrt(n - 1) + 1
+    high, low = (np.array(list(itertools.accumulate([x] * (s - 1), lambda y, z: y * z % e, initial=1)))
+                 for x in (pow(g, s, e), g))
+    return (np.multiply.outer(high, low) % e).reshape(-1)[:n]
 
 
 def _index_map(e: int) -> np.ndarray:
@@ -209,9 +216,9 @@ def _smooth_size(n: int) -> int:
     return best
 
 
-def _correlate(units: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """(c0*(u; e), u) at every unit u of the index map U = `units`, flat:
-    first u = U[i] with i_a < n_a/2, then e - u.
+def _correlate(units: np.ndarray, e: int) -> np.ndarray:
+    """c0*(u; e) = -(1/e) sum_m m cot(pi m u / e) at every unit u of the index
+    map U = `units`, in U's shape and order.
 
     The sum over the units m is a correlation of the weights m with the cot
     table, both read in index order.  -1 = U[s] has order 2: s_j = n_j/2 on
@@ -223,44 +230,33 @@ def _correlate(units: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
 
     For j_a < n_a/2, i_a + j_a < n_a - 1: the correlation is linear along a,
     reading the cot table at k_a < n_a - 1 with no wrap, zero-padded to the
-    least 5-smooth length >= n_a - 1 (n_a - 1 may have a large prime factor),
-    and cyclic at exact length along the other axes; an order-2 axis a
-    (3 | e or 4 | e) shrinks to length 1.  On one axis this is the Rader
-    correlation.  c0*(e - u) = -c0*(u) is the other half: oddness is exact.
+    least 5-smooth length >= n_a - 1, and cyclic at exact length along the
+    other axes; on one axis it is the Rader correlation.  The second half
+    along a is c0*(U[j+s]) = -c0*(U[j]), the first half negated and rolled
+    by s on the other axes, so oddness is exact.
     """
     if units.size == 1:  # e = 2: c0*(1; 2) = -cot(pi/2)/2 = +0.0
-        return np.zeros(1), units.reshape(-1)
-    a = min((j for j in range(units.ndim) if j != 1 or e % 8), key=units.shape.__getitem__)
+        return np.zeros(units.shape)
+    halved = [j != 1 or e % 8 > 0 for j in range(units.ndim)]  # s_j = n_j/2
+    a = min((j for j in range(units.ndim) if halved[j]), key=units.shape.__getitem__)
     n = units.shape[a]
     axes = (*range(a), *range(a + 1, units.ndim), a)  # a last: the real-FFT axis
     sizes = [units.shape[j] for j in axes[:-1]] + [_smooth_size(n - 1)]
     half = (slice(None),) * a + (slice(n // 2),)
-    first = units[half]
-    spectrum = np.conj(np.fft.rfftn(2.0 * first - e, sizes, axes))
+    spectrum = np.conj(np.fft.rfftn(2.0 * units[half] - e, sizes, axes))
     spectrum *= np.fft.rfftn(_cot_values(e)[units[(slice(None),) * a + (slice(n - 1),)]], sizes, axes)
     values = np.fft.irfftn(spectrum, sizes, axes)[half] / -e
-    return np.concatenate([values, -values], None), np.concatenate([first, e - first], None)
+    # the roll by s_j = n_j/2 swaps the halves of (2, n_j/2): a reversed view
+    halved[a] = False
+    dims = [x for m, h in zip(values.shape, halved) for x in ((2, m // 2) if h else (1, m))]
+    second = -values.reshape(dims)[(slice(None, None, -1), slice(None)) * units.ndim]
+    return np.concatenate([values, second.reshape(values.shape)], a)
 
 
-def _part(e: int) -> np.ndarray:
-    """c0*(u; e) = -(1/e) sum_m m cot(pi m u / e) at index u of a length-e
-    array, for every unit u mod e (0 at the non-units)."""
-    part = np.zeros(e)
-    values, units = _correlate(_index_map(e), e)
-    part[units] = values
-    return part
-
-
-# Divisor tables up to this size are kept, read-only, about 66 kB in all: a
-# run over many moduli (the identity suites) meets them at every multiple.
+# Divisor values up to this e are kept, read-only, in index order, about 40 kB
+# in all: a run over many moduli (the identity suites) meets them at every multiple.
 _SMALL_PART = 128
-
-
-@lru_cache(maxsize=None)
-def _small_part(e: int) -> np.ndarray:
-    part = _part(e)
-    part.flags.writeable = False
-    return part
+_small_parts: dict[int, np.ndarray] = {}
 
 
 def _c0_fft(b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -272,19 +268,30 @@ def _c0_fft(b: int) -> tuple[np.ndarray, np.ndarray]:
 
         c0(r/b) = sum over divisors e > 1 of b of c0*(r mod e; e),
 
-    one unit-group correlation per divisor (`_correlate`), one in all at prime b.
+    one unit-group correlation per divisor (`_correlate`).  b's generators
+    reduce mod e to e's and e's axis lengths n(e) divide b's (`_axis_lengths`),
+    so e's index map is the corner i < n(e) of b's, read mod e, and b's index
+    i takes e's value at i mod n(e): one reshaped view of b's accumulator.
     """
     units = _index_map(b)
-    acc, flat = _correlate(units, b)
-    divisors = [1]
+    acc = _correlate(units, b)
+    divisors = [(1, [])]  # (e, the lengths n(e) of b's axes read mod e)
     for p, k in _factorize(b).items():
-        divisors = [d * p**j for d in divisors for j in range(k + 1)]
+        lengths = [_axis_lengths(p, k, j) for j in range(k + 1)]
+        divisors = [(e * p**j, shape + lengths[j]) for e, shape in divisors for j in range(k + 1)]
     # b itself is acc; e = 2 adds c0*(1; 2) = -cot(pi/2)/2 = 0
-    for e in sorted(set(divisors) - {1, 2, b}):
-        part = _small_part(e) if e <= _SMALL_PART else _part(e)
-        acc += part[flat % e]
+    for e, shape in sorted(d for d in divisors if 2 < d[0] < b):
+        values = _small_parts.get(e)
+        if values is None:
+            corner = units[tuple(slice(n) for n in shape)] % e
+            values = _correlate(corner.reshape([n for n in shape if n > 1]), e)
+            if e <= _SMALL_PART:
+                values.flags.writeable = False
+                _small_parts[e] = values
+        view = acc.reshape([x for n, m in zip(units.shape, shape) for x in (n // m, m)])
+        view += values.reshape([x for m in shape for x in (1, m)])
     out = np.zeros(b)
-    out[flat] = acc
+    out[units] = acc
     return out, units
 
 
@@ -309,6 +316,8 @@ def scan_arrays(window: ScanWindow):
     Q = c0(1/b) - r c0(r/b) comes from the same table.
     """
     rs = window_residues(window)
+    if len(rs) == 0:  # before the table: it is built for the whole modulus
+        raise ValueError("window contains no admissible residue")
     by_r, _ = _c0_fft(window.b)
     c0 = by_r[rs]
     return rs, c0, by_r[1] - rs * c0
@@ -363,13 +372,8 @@ class ScanReport:
                 raise ValueError("even normalized moment must be nonnegative")
 
 
-def scan(
-    window: ScanWindow,
-    k_max: int,
-    *,
-    reference: EmpiricalCDF | None = None,
-    deterministic: bool = False,
-) -> ScanReport:
+def scan(window: ScanWindow, k_max: int, *, reference: EmpiricalCDF | None = None,
+         deterministic: bool = False) -> ScanReport:
     """Moment scan over the window; powers 1..2*k_max of both sums.
 
     Accumulation is an exactly-rounded sum over the position-ordered value
@@ -382,32 +386,26 @@ def scan(
     tic = time.perf_counter()
     b = window.b
     rs, c0, q = scan_arrays(window)
-    if len(rs) == 0:
-        raise ValueError("window contains no admissible residue")
     phi = euler_phi(b)
     moments_c0: dict[int, float] = {}
     moments_q: dict[int, float] = {}
     for k in range(1, 2 * k_max + 1):
-        moments_c0[k] = math.fsum((c0**k).tolist()) / (float(b) ** k * phi)
-        moments_q[k] = math.fsum((q**k).tolist()) / (float(b) ** (2 * k) * phi)
+        try:  # an inf power, an overflowing fsum or b**k: rejected below
+            with np.errstate(over="ignore"):
+                sums = (math.fsum((c0**k).tolist()), float(b) ** k * phi,
+                        math.fsum((q**k).tolist()), float(b) ** (2 * k) * phi)
+        except (OverflowError, ValueError):
+            sums = (math.inf,)
+        if not all(map(math.isfinite, sums)):
+            raise ValueError(f"k_max = {k_max} is too large at b = {b}: a power-{k} moment leaves "
+                             f"the float range (k_max <= {(k - 1) // 2} stays in it)")
+        moments_c0[k], moments_q[k] = sums[0] / sums[1], sums[2] / sums[3]
     cdf = EmpiricalCDF.from_samples(c0 / b)
     ks = ks_distance(cdf, reference) if reference is not None else None
     wall = 0.0 if deterministic else (time.perf_counter() - tic) * 1e3
-    return ScanReport(
-        b=b,
-        a0=window.a0,
-        a1=window.a1,
-        phi=phi,
-        count=len(rs),
-        moments_c0=moments_c0,
-        moments_q=moments_q,
-        cdf=cdf,
-        ks_distance=ks,
-        wall_ms=wall,
-        residues=rs,
-        c0_values=c0,
-        q_values=q,
-    )
+    return ScanReport(b=b, a0=window.a0, a1=window.a1, phi=phi, count=len(rs), moments_c0=moments_c0,
+                      moments_q=moments_q, cdf=cdf, ks_distance=ks, wall_ms=wall, residues=rs,
+                      c0_values=c0, q_values=q)
 
 
 def q_approx(r: int, b: int, m1: int) -> float:

@@ -82,7 +82,7 @@ _WINDOW = ["--a0", "0.6", "--a1", "0.8", "--kmax", "3", "--deterministic"]
 _TABLE_CASES = [
     pytest.param(argv, names, id=names[0])
     for argv, names in [(["scan", "--b", b, "--figure"], [f"figure_b{b}.csv"])
-                        for b in ("2", "3", "4", "6", "757", "30030", "100003")]
+                        for b in ("2", "3", "4", "6", "757", "30030", "100003", "720720")]
     + [(["scan", "--b", b, *_WINDOW], [f"scan_b{b}.csv", f"scan_b{b}.json"])
        for b in ("1009", "30030", "100003")]
     + [(["asympt", "--n", "1", "--b-list", "2,3,5,6,7,100,1000,12345"], ["asympt_n1.csv"])]
@@ -284,6 +284,13 @@ class TestScanMoments:
     def test_bad_window_is_usage_error(self, capsys):
         assert run(["scan", "--b", "101", "--a0", "0.8", "--a1", "0.6"]) == 2
         capsys.readouterr()
+
+    def test_kmax_past_float_range_is_usage_error(self, tmp_path, capsys):
+        # Q's normalizer b^102 phi(b) overflows at b = 1009: the limit is named, with no traceback
+        out = tmp_path / "scan.csv"
+        assert run(["scan", "--b", "1009", "--a0", "0.6", "--a1", "0.8", "--kmax", "26", "--output", str(out)]) == 2
+        assert "k_max <= 25" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic_runs_are_byte_identical(self, tmp_path, capsys):
         # both moduli take the whole-modulus FFT; the composite 3003 has several

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -246,6 +247,30 @@ class TestUnitGroupFFT:
             rs, _, _, _, rbar = equidist.batch_c0_vq(b)
             assert rbar.tolist() == [pow(r, -1, b) for r in rs.tolist()], b
 
+    def test_divisor_maps_are_corners_of_b_map(self):
+        # e's index map is the corner i < n(e) of b's, read mod e, with the
+        # length-1 axes dropped; the corner's lengths are e's orders
+        for b in [*range(3, 2001), 720720]:
+            units, factors = equidist._index_map(b), equidist._factorize(b)
+            for js in itertools.product(*(range(k + 1) for k in factors.values())):
+                e = math.prod(p**j for p, j in zip(factors, js))
+                if e == 1:
+                    continue
+                shape = [n for (p, k), j in zip(factors.items(), js) for n in equidist._axis_lengths(p, k, j)]
+                assert [n for n in shape if n > 1] == [n for _, n in equidist._unit_axes(e)], (b, e)
+                corner = units[tuple(slice(n) for n in shape)] % e
+                assert np.array_equal(corner.reshape(equidist._index_map(e).shape), equidist._index_map(e)), (b, e)
+
+    def test_generators_reduce_to_divisor_generators(self):
+        # at b = 2 p^2 with p = 40487, p's generator is 5 + p mod p^2 but 5 mod
+        # p (`test_generator_lift`); b's lifted generator reduces to e's
+        p = 40487
+        b = 2 * p * p
+        [(g, n)] = equidist._unit_axes(b)
+        assert (g % (p * p), n) == (5 + p, p * (p - 1))
+        for e in (p, 2 * p):
+            assert equidist._unit_axes(e) == [(g % e, *equidist._axis_lengths(p, 2, 1))] == [(5, p - 1)]
+
     def test_generator_lift(self):
         # 5 is the least primitive root mod p = 40487 and 5^(p-1) = 1 mod p^2,
         # so 5 has order p - 1 mod p^2 and the generator there must be 5 + p
@@ -329,6 +354,20 @@ class TestScan:
     def test_kmax_validated(self):
         with pytest.raises(ValueError):
             scan(ScanWindow(101, 0.6, 0.8), 0)
+        # Q's normalizer b^102 phi(b) overflows at b = 1009 and the power sum
+        # of Q^34 at 30011: rejected with the largest k_max that stays finite
+        for b, k_max in [(1009, 26), (30011, 17)]:
+            with pytest.raises(ValueError, match=f"k_max <= {k_max - 1} "):
+                scan(ScanWindow(b, 0.6, 0.8), k_max)
+
+    def test_window_without_units_builds_no_table(self, monkeypatch):
+        # r = 18 is the window's one integer and shares 6 with b = 30: the scan
+        # is rejected before the whole-modulus table is built
+        calls = []
+        monkeypatch.setattr(equidist, "_c0_fft", calls.append)
+        with pytest.raises(ValueError, match="no admissible residue"):
+            scan(ScanWindow(30, 0.6, 0.61), 1)
+        assert calls == []
 
     def test_report_invariant(self):
         with pytest.raises(ValueError):
