@@ -68,52 +68,6 @@ from .equidist import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ReducedFraction",
-    "SumValue",
-    "c0",
-    "c0_q_v",
-    "estermann_at_zero",
-    "fractional_identity_check",
-    "mod_inverse",
-    "q_sum",
-    "reciprocity_defect",
-    "vasyunin",
-    "AsymptoticExpansion",
-    "C1Input",
-    "bernoulli",
-    "c0_asymptotic",
-    "c1_direct",
-    "c1_empirical",
-    "default_b_list",
-    "g_partial",
-    "gstar",
-    "gstar_integral",
-    "p1_integral",
-    "s_sum",
-    "zeta_real",
-    "ContinuedFraction",
-    "EmpiricalCDF",
-    "MomentTable",
-    "TruncatedGSeries",
-    "cf_expand",
-    "cf_from_quotients",
-    "convergence_classifier",
-    "empirical_F",
-    "f_eval",
-    "fourier_coeffs_f",
-    "g_fourier_eval",
-    "hk_growth_check",
-    "hk_table",
-    "ExpSumParams",
-    "ScanReport",
-    "ScanWindow",
-    "euler_phi",
-    "inverse_localization_count",
-    "kloosterman",
-    "ks_distance",
-    "q_approx",
-    "ramanujan",
-    "scan",
-    "__version__",
-]
+# every name imported above, in import order, then the version
+_MODULES = ("asymptotics", "core", "equidist", "gseries")
+__all__ = [*(name for name in globals() if name[0] != "_" and name not in _MODULES), "__version__"]

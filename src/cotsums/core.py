@@ -147,6 +147,52 @@ def _pairwise_dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.add.reduce(x * y))
 
 
+# Columns per block of `_power_sums`: a block of every power stays in cache.
+_POWER_BLOCK = 1 << 14
+
+
+def _power_sums(x: np.ndarray, k_max: int) -> list[float]:
+    """sum x^k, k = 1..k_max, each with the bits of math.fsum of its running
+    products p_k = p_(k-1) x, formed a block of columns at a time.  A row is
+    summed by error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci.
+    Comput. 31, 2008): with max |p| < 2^e over n columns, sigma = 2^(e +
+    bitlen n + 1) makes q = (sigma + p) - sigma and p - q exact and q.sum()
+    exact in any order; p -= q repeats until the row is zero, and math.fsum
+    rounds the pass sums once.  A non-finite power or sum gives inf; a row
+    past sigma's range (max |p| >= 2^(1022 - bitlen n)) is fsummed as it is."""
+    parts, finite = [[] for _ in range(k_max)], np.ones(k_max, dtype=bool)
+    for j in range(0, len(x), _POWER_BLOCK):
+        p = np.empty((k_max, len(x[j : j + _POWER_BLOCK])))
+        p[0] = x[j : j + _POWER_BLOCK]
+        rows, bits = np.arange(k_max), p.shape[1].bit_length() + 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, k_max):
+                np.multiply(p[k - 1], p[0], out=p[k])
+            top = np.maximum(p.max(axis=1), -p.min(axis=1))
+            finite &= np.isfinite(top)
+            sigma = np.ldexp(1.0, np.frexp(top)[1] + bits)[:, None]
+            for k in np.flatnonzero(finite & np.isinf(sigma[:, 0])).tolist():
+                parts[k] += p[k].tolist()
+            live = finite & np.isfinite(sigma[:, 0]) & (top > 0)
+            while live.any():
+                if not live.all():
+                    rows, p, sigma = rows[live], p[live], sigma[live]
+                q = p + sigma
+                q -= sigma
+                p -= q
+                for k, s in zip(rows.tolist(), q.sum(axis=1).tolist()):
+                    parts[k].append(s)
+                top = np.maximum(p.max(axis=1), -p.min(axis=1))
+                sigma, live = np.ldexp(1.0, np.frexp(top)[1] + bits)[:, None], top > 0
+    sums = []
+    for part, ok in zip(parts, finite.tolist()):
+        try:
+            sums.append(math.fsum(part) if ok else math.inf)
+        except OverflowError:
+            sums.append(math.inf)
+    return sums
+
+
 def _two_sum(a, c):
     # Knuth's error-free TwoSum: s + e == a + c exactly, e = (a - (s - v)) + (c - v).
     s = a + c

@@ -8,7 +8,9 @@ normalized moments:
     moments_q[k]  = sum  Q(r/b)^k / (b^2k * phi(b)),   k = 1 .. 2*k_max.
 
 The even c0-moments approach H_k*(A1-A0) and the even Q-moments approach
-E_k*(A1^{2k+1}-A0^{2k+1}), which is what the moment tests consume.  The
+E_k*(A1^{2k+1}-A0^{2k+1}), which is what the moment tests consume.  Each
+power sum is of running-product powers, summed by error-free extraction with
+the same bits as math.fsum (`core._power_sums`).  The
 module also carries the inverse-value approximation q_approx, Kloosterman
 and Ramanujan sums, the inverse-localization count, and the two-sample
 Kolmogorov-Smirnov distance.
@@ -43,7 +45,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import _B_MAX, _check_modulus, _cot_values, _direct_sums, _pairwise_dot
+from .core import _B_MAX, _check_modulus, _cot_values, _direct_sums, _pairwise_dot, _power_sums
 from .gseries import EmpiricalCDF, TruncatedGSeries
 
 __all__ = [
@@ -189,10 +191,12 @@ def _powers(g: int, e: int, n: int) -> np.ndarray:
 
 def _index_map(e: int) -> np.ndarray:
     """The units mod e at their exponent vectors: units[i] = prod_j g_j^(i_j)
-    mod e over the axes (g_j, n_j) of `_unit_axes(e)`, of shape (n_1, ...)."""
-    units = np.ones((), dtype=np.int64)
-    for g, n in _unit_axes(e):
-        units = np.multiply.outer(units, _powers(g, e, n)) % e
+    mod e over the axes (g_j, n_j) of `_unit_axes(e)`, of shape (n_1, ...);
+    0-d, the one unit, at e = 2."""
+    runs = [_powers(g, e, n) for g, n in _unit_axes(e)]
+    units = runs[0] if runs else np.ones((), dtype=np.int64)
+    for run in runs[1:]:
+        units = np.multiply.outer(units, run) % e
     return units
 
 
@@ -376,8 +380,10 @@ def scan(window: ScanWindow, k_max: int, *, reference: EmpiricalCDF | None = Non
          deterministic: bool = False) -> ScanReport:
     """Moment scan over the window; powers 1..2*k_max of both sums.
 
-    Accumulation is an exactly-rounded sum over the position-ordered value
-    array, so reports are bit-identical across reruns.
+    The powers are running products, summed by error-free extraction
+    (`core._power_sums`) with the same bits as math.fsum of them, so reports
+    are bit-identical across reruns.  A k_max whose moments or normalizers
+    leave the float range is rejected with the largest one that stays in it.
     With `deterministic` the wall-clock field is zeroed as well.  A
     `reference` CDF turns on the Kolmogorov-Smirnov comparison.
     """
@@ -387,19 +393,20 @@ def scan(window: ScanWindow, k_max: int, *, reference: EmpiricalCDF | None = Non
     b = window.b
     rs, c0, q = scan_arrays(window)
     phi = euler_phi(b)
+    # b^2k >= 2^1024 past k = 512 // (bitlen(b) - 1): no power beyond is formed
+    rows = min(2 * k_max, 512 // (b.bit_length() - 1))
+    sums = list(zip(_power_sums(c0, rows), _power_sums(q, rows)))
     moments_c0: dict[int, float] = {}
     moments_q: dict[int, float] = {}
     for k in range(1, 2 * k_max + 1):
-        try:  # an inf power, an overflowing fsum or b**k: rejected below
-            with np.errstate(over="ignore"):
-                sums = (math.fsum((c0**k).tolist()), float(b) ** k * phi,
-                        math.fsum((q**k).tolist()), float(b) ** (2 * k) * phi)
-        except (OverflowError, ValueError):
-            sums = (math.inf,)
-        if not all(map(math.isfinite, sums)):
+        try:  # an inf power sum or b**k: rejected below
+            s = (*sums[k - 1], float(b) ** k * phi, float(b) ** (2 * k) * phi)
+        except (IndexError, OverflowError):
+            s = (math.inf,)
+        if not all(map(math.isfinite, s)):
             raise ValueError(f"k_max = {k_max} is too large at b = {b}: a power-{k} moment leaves "
                              f"the float range (k_max <= {(k - 1) // 2} stays in it)")
-        moments_c0[k], moments_q[k] = sums[0] / sums[1], sums[2] / sums[3]
+        moments_c0[k], moments_q[k] = s[0] / s[2], s[1] / s[3]
     cdf = EmpiricalCDF.from_samples(c0 / b)
     ks = ks_distance(cdf, reference) if reference is not None else None
     wall = 0.0 if deterministic else (time.perf_counter() - tic) * 1e3

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _pairwise_dot
+from .core import _pairwise_dot, _power_sums
 
 __all__ = [
     "TruncatedGSeries",
@@ -407,13 +407,12 @@ class MomentTable:
 
 
 def _moments(fs: np.ndarray, k_max: int):
-    y = fs / math.pi
-    hk, d2k, odd = {0: 1.0}, {0: 1.0}, {}
-    for k in range(1, k_max + 1):
-        hk[k] = float(np.mean(y ** (2 * k)))
-        d2k[k] = float(np.mean(fs ** (2 * k)))
-        odd[k] = float(np.mean(y ** (2 * k - 1)))
-    return hk, d2k, odd
+    # means of powers of y = f/pi (hk, odd) and of f^2 (d2k), each the exactly
+    # rounded sum of running-product powers (`core._power_sums`) over n
+    n, ys, fs2 = len(fs), _power_sums(fs / math.pi, 2 * k_max), _power_sums(fs * fs, k_max)
+    hk = {k: ys[2 * k - 1] / n if k else 1.0 for k in range(k_max + 1)}
+    d2k = {k: fs2[k - 1] / n if k else 1.0 for k in range(k_max + 1)}
+    return hk, d2k, {k: ys[2 * k - 2] / n for k in range(1, k_max + 1)}
 
 
 def _grid_offset(grid: int) -> float:

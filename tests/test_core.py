@@ -232,6 +232,64 @@ class TestTwoSumTree:
             assert abs(Fraction(float(root[i] + lo[i])) - exact) <= bound, i
 
 
+def _fsum_of_product_powers(x, k_max):
+    # math.fsum of each running-product power row p_k = p_(k-1) x; inf where
+    # a power is not finite or fsum overflows
+    p, sums = np.asarray(x, dtype=float), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(k_max):
+            row = p if k == 0 else row * p
+            try:
+                sums.append(math.fsum(row.tolist()) if np.all(np.isfinite(row)) else math.inf)
+            except OverflowError:
+                sums.append(math.inf)
+    return sums
+
+
+_RNG = np.random.default_rng(26)
+_POWER_ROWS = {
+    "cancellation": [1e16, 1.0, -1e16],
+    "zeros": [0.0, 3.5, 0.0, -0.0, -2.25, 0.0],
+    "all_zero": [0.0, -0.0, 0.0],
+    "subnormals": [5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, -3e-320],
+    "n1": [-7.123456789],
+    "near_2^1023": [2.0**1020, -0.75 * 2.0**1020, 3.0, 1e-300],
+    "sum_overflows": [1.5e308, 1.25e308],
+    "power_overflows": [2.0**600, -1.0, 0.5],
+    # several blocks of columns, across 120 binades and both signs
+    "blocks": (_RNG.standard_normal(40_000) * 2.0 ** _RNG.integers(-60, 60, 40_000)).tolist(),
+    "blocks_near_2^1023": (_RNG.uniform(-1.0, 1.0, 40_000) * 2.0**1010).tolist(),
+}
+
+
+class TestPowerSums:
+    """`core._power_sums` carries the bits of math.fsum of its running products."""
+
+    @pytest.mark.parametrize("k_max", [1, 2, 6, 13])
+    @pytest.mark.parametrize("name", _POWER_ROWS)
+    def test_bits_equal_fsum(self, name, k_max):
+        x = np.array(_POWER_ROWS[name])
+        got = core._power_sums(x, k_max)
+        assert [v.hex() for v in got] == [v.hex() for v in _fsum_of_product_powers(x, k_max)]
+
+    def test_adversarial_rows_take_their_routes(self):
+        # the rows near 2^1023 are past sigma's range, max |x| >= 2^(1022 -
+        # bitlen n), and go to math.fsum; the overflowing rows give inf
+        for name in ("near_2^1023", "blocks_near_2^1023", "sum_overflows"):
+            x = np.array(_POWER_ROWS[name])
+            n = min(len(x), core._POWER_BLOCK)
+            assert np.abs(x).max() >= 2.0 ** (1022 - n.bit_length()), name
+        assert core._power_sums(np.array(_POWER_ROWS["sum_overflows"]), 1) == [math.inf]
+        assert core._power_sums(np.array(_POWER_ROWS["power_overflows"]), 2) == [2.0**600, math.inf]
+        assert core._power_sums(np.array([math.nan, 1.0]), 1) == [math.inf]
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+           st.integers(1, 8))
+    def test_bits_equal_fsum_on_any_row(self, xs, k_max):
+        got = core._power_sums(np.array(xs), k_max)
+        assert [v.hex() for v in got] == [v.hex() for v in _fsum_of_product_powers(xs, k_max)]
+
+
 class TestReducedFraction:
     def test_inverse(self):
         assert ReducedFraction(3, 7).inverse == 5
@@ -418,3 +476,13 @@ class TestReciprocityDefect:
         assert all(b < a for a, b in zip(steps, steps[1:]))
         assert steps[-1] < 1e-6
         assert defects[-1] == pytest.approx(-0.2557047, abs=1e-5)
+
+
+def test_package_exports_each_imported_name_once():
+    # `__all__` is derived from the package's imports: 46 public names, then the version
+    import cotsums
+
+    assert len(cotsums.__all__) == len(set(cotsums.__all__)) == 47
+    assert cotsums.__all__[-1] == "__version__"
+    assert all(hasattr(cotsums, name) for name in cotsums.__all__)
+    assert not {"asymptotics", "core", "equidist", "gseries"} & set(cotsums.__all__)

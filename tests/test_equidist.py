@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -235,6 +236,17 @@ class TestUnitGroupFFT:
             units = equidist._index_map(e).reshape(-1)
             assert np.array_equal(np.sort(units), equidist._coprime(1, e, e)), e
 
+    def test_index_map_equals_outer_products_from_one(self):
+        # the map starts from its first axis's powers; folding every axis into
+        # a 0-d one, the construction it replaced, gives the same array
+        for b in [*range(2, 2001), 720720, 1 << 20, 4999999]:
+            ref = np.ones((), dtype=np.int64)
+            for g, n in equidist._unit_axes(b):
+                ref = np.multiply.outer(ref, equidist._powers(g, b, n)) % b
+            units = equidist._index_map(b)
+            assert units.dtype == ref.dtype and units.shape == ref.shape, b
+            assert np.array_equal(units, ref), b
+
     def test_index_map_inverses_equal_pow(self):
         # the inverse of the unit at exponent vector i sits at -i; 8, 16, 48 and
         # 720 have a 2^k factor with its two axes, -1 and 5
@@ -359,6 +371,27 @@ class TestScan:
         for b, k_max in [(1009, 26), (30011, 17)]:
             with pytest.raises(ValueError, match=f"k_max <= {k_max - 1} "):
                 scan(ScanWindow(b, 0.6, 0.8), k_max)
+
+    def test_huge_kmax_names_the_same_limit(self):
+        # no power past the first overflowing normalizer is formed, so a
+        # k_max far past the float range is rejected as k_max = 26 is
+        with pytest.raises(ValueError, match="k_max <= 25 "):
+            scan(ScanWindow(1009, 0.6, 0.8), 10**9)
+
+    @pytest.mark.parametrize("b", [1009, 30030])
+    def test_moments_within_bound_of_exact(self, b):
+        # each moment within (k+1) u sum|v|^k / (b^(pk) phi) of the exact
+        # rational moment of the same table values v, u = 2^-53; p = 1 for c0
+        # and 2 for Q
+        rep = scan(ScanWindow(b, 0.6, 0.8), 3)
+        for values, moments, p in ((rep.c0_values, rep.moments_c0, 1), (rep.q_values, rep.moments_q, 2)):
+            xs = [Fraction(v) for v in values.tolist()]
+            powers = xs
+            for k in range(1, 7):
+                norm = Fraction(b) ** (p * k) * rep.phi
+                bound = (k + 1) * sum(map(abs, powers)) / norm / 2**53
+                assert abs(Fraction(moments[k]) - sum(powers) / norm) <= bound, (p, k)
+                powers = [y * x for y, x in zip(powers, xs)]
 
     def test_window_without_units_builds_no_table(self, monkeypatch):
         # r = 18 is the window's one integer and shares 6 with b = 30: the scan
