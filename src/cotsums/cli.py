@@ -98,6 +98,7 @@ def cmd_c0(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.figure:
         flags = [f for f, on in (("--a0", args.a0 is not None), ("--a1", args.a1 is not None),
+                                 ("--kmax", args.kmax is not None),
                                  ("--format json", args.format == "json")) if on]
         if flags:
             print(f"error: {', '.join(flags)} applies to a window scan, not to --figure", file=sys.stderr)
@@ -127,7 +128,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         return 2
     try:
         window = equidist.ScanWindow(args.b, args.a0, args.a1)
-        rep = equidist.scan(window, args.kmax, deterministic=args.deterministic)
+        rep = equidist.scan(window, 3 if args.kmax is None else args.kmax, deterministic=args.deterministic)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -452,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--figure", action="store_true", help="full coprime range CSV")
     p_scan.add_argument("--a0", type=float)
     p_scan.add_argument("--a1", type=float)
-    p_scan.add_argument("--kmax", type=int, default=3)
+    p_scan.add_argument("--kmax", type=int, help="window moments to power 2 kmax (default 3)")
     p_scan.add_argument(
         "--threads",
         type=int,

@@ -12,7 +12,10 @@ of sums computes it (same machine and numpy build).  A default-precision
 call whose terms fit one tile (a point value at b <= 32769, every unit of
 b <= 725 in one batch) forms and sums that tile with no chunk loop, so the
 thousands of small sums of `cotsums verify` pay little fixed cost per
-call.  `c0_q_v` is that sweep at one fraction, as `cotsums c0` prints it.
+call.  A sum ends in one math.fsum of its pieces: its chunks' pairwise
+sums, or in oracle precision the exact parts of error-free extraction, the
+routine that also sums the window moments' powers (`_power_sums`).
+`c0_q_v` is that sweep at one fraction, as `cotsums c0` prints it.
 """
 
 from __future__ import annotations
@@ -151,39 +154,48 @@ def _pairwise_dot(x: np.ndarray, y: np.ndarray) -> float:
 _POWER_BLOCK = 1 << 14
 
 
+def _extract(p: np.ndarray, parts: list) -> np.ndarray:
+    """Append to parts[i] floats whose exact sum is that of row i of the 2-D
+    p, by error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput.
+    31, 2008): with max |p| < 2^e over n columns, sigma = 2^(e + bitlen n + 1)
+    makes q = (sigma + p) - sigma and p - q exact and q.sum() exact in any
+    order; p -= q repeats until the row is zero.  A row past sigma's range
+    (max |p| >= 2^(1022 - bitlen n)) is appended whole, a non-finite row not
+    at all.  p is overwritten; returns which rows are finite."""
+    rows, bits = np.arange(len(p)), p.shape[1].bit_length() + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = np.maximum(p.max(axis=1), -p.min(axis=1))
+        finite = np.isfinite(top)
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + bits)[:, None]
+        for k in np.flatnonzero(finite & np.isinf(sigma[:, 0])).tolist():
+            parts[k] += p[k].tolist()
+        live = finite & np.isfinite(sigma[:, 0]) & (top > 0)
+        while live.any():
+            if not live.all():
+                rows, p, sigma = rows[live], p[live], sigma[live]
+            q = p + sigma
+            q -= sigma
+            p -= q
+            for k, s in zip(rows.tolist(), q.sum(axis=1).tolist()):
+                parts[k].append(s)
+            top = np.maximum(p.max(axis=1), -p.min(axis=1))
+            sigma, live = np.ldexp(1.0, np.frexp(top)[1] + bits)[:, None], top > 0
+    return finite
+
+
 def _power_sums(x: np.ndarray, k_max: int) -> list[float]:
     """sum x^k, k = 1..k_max, each with the bits of math.fsum of its running
-    products p_k = p_(k-1) x, formed a block of columns at a time.  A row is
-    summed by error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci.
-    Comput. 31, 2008): with max |p| < 2^e over n columns, sigma = 2^(e +
-    bitlen n + 1) makes q = (sigma + p) - sigma and p - q exact and q.sum()
-    exact in any order; p -= q repeats until the row is zero, and math.fsum
-    rounds the pass sums once.  A non-finite power or sum gives inf; a row
-    past sigma's range (max |p| >= 2^(1022 - bitlen n)) is fsummed as it is."""
+    products p_k = p_(k-1) x, formed a block of columns at a time: math.fsum
+    rounds once the exact parts that `_extract` takes from each block.  A
+    non-finite power or sum gives inf."""
     parts, finite = [[] for _ in range(k_max)], np.ones(k_max, dtype=bool)
     for j in range(0, len(x), _POWER_BLOCK):
         p = np.empty((k_max, len(x[j : j + _POWER_BLOCK])))
         p[0] = x[j : j + _POWER_BLOCK]
-        rows, bits = np.arange(k_max), p.shape[1].bit_length() + 1
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, k_max):
                 np.multiply(p[k - 1], p[0], out=p[k])
-            top = np.maximum(p.max(axis=1), -p.min(axis=1))
-            finite &= np.isfinite(top)
-            sigma = np.ldexp(1.0, np.frexp(top)[1] + bits)[:, None]
-            for k in np.flatnonzero(finite & np.isinf(sigma[:, 0])).tolist():
-                parts[k] += p[k].tolist()
-            live = finite & np.isfinite(sigma[:, 0]) & (top > 0)
-            while live.any():
-                if not live.all():
-                    rows, p, sigma = rows[live], p[live], sigma[live]
-                q = p + sigma
-                q -= sigma
-                p -= q
-                for k, s in zip(rows.tolist(), q.sum(axis=1).tolist()):
-                    parts[k].append(s)
-                top = np.maximum(p.max(axis=1), -p.min(axis=1))
-                sigma, live = np.ldexp(1.0, np.frexp(top)[1] + bits)[:, None], top > 0
+        finite &= _extract(p, parts)
     sums = []
     for part, ok in zip(parts, finite.tolist()):
         try:
@@ -191,31 +203,6 @@ def _power_sums(x: np.ndarray, k_max: int) -> list[float]:
         except OverflowError:
             sums.append(math.inf)
     return sums
-
-
-def _two_sum(a, c):
-    # Knuth's error-free TwoSum: s + e == a + c exactly, e = (a - (s - v)) + (c - v).
-    s = a + c
-    v = s - a
-    e = s - v
-    np.subtract(a, e, out=e)
-    e += np.subtract(c, v, out=v)
-    return s, e
-
-
-def _two_sum_tree(t: np.ndarray):
-    # Pairwise tree of TwoSums along each row of t: (root, sum of every error).
-    # Each level allocates its sums and errors, half of its columns each, and
-    # drops them before the next level is formed, so the tree holds at most
-    # 1.5 times t beside t (the first level's s, s - a and errors).
-    lo = np.zeros(len(t))
-    while t.shape[1] > 1:
-        even = t.shape[1] & ~1
-        s, e = _two_sum(t[:, 0:even:2], t[:, 1:even:2])
-        lo += np.add.reduce(e, axis=1)
-        t = np.concatenate([s, t[:, even:]], axis=1) if even < t.shape[1] else s
-        del s, e
-    return t[:, 0], lo
 
 
 def _mod_product(s, k, b: int, prod: np.ndarray, res: np.ndarray) -> np.ndarray:
@@ -258,18 +245,18 @@ def direct_sums(rs, b: int, rows, *, oracle: bool = False):
     row's terms of a chunk in cache-sized tiles; a tile computes its
     cotangents by the element operations of `cot_table` (no table is built
     or read) and m_k once for the c0 and q rows.  So memory is bounded by a
-    chunk of terms per row, whatever b.  A chunk row is summed pairwise
-    (`np.add.reduce`, one call over the (rows, residues, k) block), or with
-    `oracle` by a pairwise tree of TwoSums plus their summed errors (after
-    Sum2 of Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005), one tree
-    per row, which allocates per level, one row at a time; chunk results are
-    added in k order by TwoSum, starting from +0.0.  So a value does not
-    depend on the other residues or rows.  A default-precision call whose
-    terms fit one tile, (b-1)//2 <= `_TILE_K` and len(rs) (b-1)//2 <=
-    `_CELLS` (every b <= 32769 at one residue), is that one tile summed
-    with no chunk loop or block buffers: the same terms, sums and bits at
-    a fraction of the fixed cost.  Both results are (len(rows), len(rs));
-    a name may appear in `rows` once.
+    chunk of terms per row, whatever b.  Each sum collects pieces, and
+    math.fsum rounds them once at the end (an empty sum is +0.0): the
+    pairwise sums of its chunks (`np.add.reduce`, one call over the (rows,
+    residues, k) block), or with `oracle` the exact parts that `_extract`
+    takes from each tile's columns of a chunk, one row at a time, so that an
+    oracle value is the float nearest the exact sum of its float terms.  So
+    a value does not depend on the other residues or rows.  A
+    default-precision call whose terms fit one tile, (b-1)//2 <= `_TILE_K`
+    and len(rs) (b-1)//2 <= `_CELLS` (every b <= 32769 at one residue), is
+    that one tile summed with no chunk loop or block buffers: the same
+    terms, sums and bits at a fraction of the fixed cost.  Both results are
+    (len(rows), len(rs)); a name may appear in `rows` once.
     """
     rs = np.asarray(rs, dtype=np.int64)
     _check_modulus(b)
@@ -299,15 +286,16 @@ def _direct_sums(rs: np.ndarray, rbar, b: int, rows, oracle: bool = False):
         t = np.empty((len(rows), *shape))
         ints = np.empty((2, *shape), dtype=dtype)
         _fill(dict(zip(rows, t)), r, rb, k, _cot(k, b, np.empty(half)), b, ints[0], ints[1])
-        # 0.0 + the pairwise row sum, as the loop adds it to +0.0
+        # 0.0 + the pairwise row sum: +0.0 for a zero sum, as math.fsum gives
         total = np.add.reduce(t, axis=-1, initial=0.0)
         biggest = np.abs(t, out=t).max(axis=-1)
         return total.reshape(len(rows), len(rs)), biggest.reshape(len(rows), len(rs))
     chunk = max(1, min(half, _CELLS))
     block = max(1, min(len(rs), _CELLS // chunk))
     width = min(chunk, _TILE_K)
-    # starting from +0.0 makes an empty or all-zero sum (c0(1/2), Q(1/b)) +0.0
-    hi, lo, biggest = np.zeros((3, len(rows), len(rs)))
+    # the pieces of each sum, which math.fsum rounds once at the end
+    pieces = [[[] for _ in range(len(rs))] for _ in rows]
+    biggest = np.zeros((len(rows), len(rs)))
     # Buffers allocated once: fresh block-sized temporaries would page-fault.
     terms = np.empty((len(rows), block * chunk))
     ints = np.empty((2, block * width), dtype=dtype)
@@ -327,14 +315,15 @@ def _direct_sums(rs: np.ndarray, rbar, b: int, rows, oracle: bool = False):
             big = np.maximum(np.abs(t.max(axis=2)), np.abs(t.min(axis=2)))
             np.maximum(biggest[:, sl], big, out=biggest[:, sl])
             if oracle:
-                h, l = np.empty((2, len(rows), len(r)))
                 for i, ti in enumerate(t):
-                    h[i], l[i] = _two_sum_tree(ti)
+                    for j in range(0, n, width):
+                        _extract(ti[:, j : j + width], pieces[i][sl])
             else:
-                h, l = np.add.reduce(t, axis=2), 0.0
-            hi[:, sl], e = _two_sum(hi[:, sl], h)
-            lo[:, sl] += l + e
-    return hi + lo, biggest
+                for row, sums in zip(pieces, np.add.reduce(t, axis=2).tolist()):
+                    for part, s in zip(row[sl], sums):
+                        part.append(s)
+    values = [[math.fsum(part) for part in row] for row in pieces]
+    return np.array(values).reshape(len(rows), len(rs)), biggest
 
 
 def _values(f: ReducedFraction, rows, oracle: bool) -> tuple[SumValue, ...]:
@@ -360,7 +349,7 @@ def c0(f: ReducedFraction, oracle: bool = False) -> SumValue:
 
     Summed as sum_{k<b/2} ((b - 2 m_k)/b) cot(pi k/b), m_k = k rbar mod b.
     The terms near k = 1 reach ~b/pi, which dominates err_bound = (b-1) eps
-    max|term|.  oracle=True sums the same terms by error-free TwoSums.
+    max|term|.  oracle=True rounds the exact sum of the same terms once.
     """
     return _values(f, ("c0",), oracle)[0]
 

@@ -407,12 +407,11 @@ class MomentTable:
 
 
 def _moments(fs: np.ndarray, k_max: int):
-    # means of powers of y = f/pi (hk, odd) and of f^2 (d2k), each the exactly
+    # means of the even and odd powers of y = f/pi (hk, odd), each the exactly
     # rounded sum of running-product powers (`core._power_sums`) over n
-    n, ys, fs2 = len(fs), _power_sums(fs / math.pi, 2 * k_max), _power_sums(fs * fs, k_max)
+    n, ys = len(fs), _power_sums(fs / math.pi, 2 * k_max)
     hk = {k: ys[2 * k - 1] / n if k else 1.0 for k in range(k_max + 1)}
-    d2k = {k: fs2[k - 1] / n if k else 1.0 for k in range(k_max + 1)}
-    return hk, d2k, {k: ys[2 * k - 2] / n for k in range(1, k_max + 1)}
+    return hk, {k: ys[2 * k - 2] / n for k in range(1, k_max + 1)}
 
 
 def _grid_offset(grid: int) -> float:
@@ -437,7 +436,9 @@ def hk_table(k_max: int, t: TruncatedGSeries, grid: int) -> MomentTable:
         fs, fs_low = _f_offset_grid(grid, c, t.m1, prefix=low)
     else:
         fs, fs_low = (_f_offset_grid(grid, c, m) for m in (t.m1, low))
-    hk, d2k, odd = _moments(fs, k_max)
+    hk, odd = _moments(fs, k_max)
+    fs2 = _power_sums(fs * fs, k_max)
+    d2k = {k: fs2[k - 1] / grid if k else 1.0 for k in range(k_max + 1)}
     hk_half = _moments(_f_offset_grid(half, _grid_offset(half), t.m1), k_max)[0]
     hk_low = _moments(fs_low, k_max)[0]
     errors = {k: abs(hk[k] - hk_half[k]) + abs(hk[k] - hk_low[k]) for k in range(k_max + 1)}

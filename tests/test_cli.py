@@ -173,7 +173,8 @@ class TestScanFigure:
 
     @pytest.mark.parametrize(
         "extra,flag",
-        [(["--a0", "0.6"], "--a0"), (["--a1", "0.8"], "--a1"), (["--format", "json"], "--format json")],
+        [(["--a0", "0.6"], "--a0"), (["--a1", "0.8"], "--a1"), (["--format", "json"], "--format json"),
+         (["--kmax", "5"], "--kmax")],
     )
     def test_window_only_flag_is_usage_error(self, tmp_path, capsys, extra, flag):
         # figure mode writes the whole CSV table; a window flag would be dropped

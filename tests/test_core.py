@@ -1,7 +1,6 @@
 import itertools
 import math
 import tracemalloc
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -197,8 +196,8 @@ class TestFusedSweep:
 
     def test_memory_of_a_point_value_is_bounded_by_a_chunk(self):
         # a cot table at this b alone would take 16 MB; a chunk of terms is 2 MB.
-        # The oracle sums a chunk of each row by its own TwoSum tree; one tree
-        # over the whole (rows, k) block would read about 16 MB here.
+        # The oracle extracts a tile of each row at a time; extraction over the
+        # whole (rows, k) block would add a block-sized copy per pass.
         calls = (lambda: c0(ReducedFraction(1, 2_000_003)),
                  lambda: core.c0_q_v(ReducedFraction(412345, 1_000_003), oracle=True))
         tracemalloc.start()
@@ -212,24 +211,31 @@ class TestFusedSweep:
             tracemalloc.stop()
 
 
-class TestTwoSumTree:
-    @pytest.mark.parametrize("rows", [1, 3])
+def _paired_terms(r, b):
+    # the kernel's c0, Q and V terms at r/b, k = 1..(b-1)//2, rebuilt from the
+    # tile cotangents and the integer weights
+    k = np.arange(1, (b - 1) // 2 + 1, dtype=np.int64)
+    cot, m = core._cot(k, b, np.empty(len(k))), k * pow(r, -1, b) % b
+    return {"c0": (b - 2 * m) / b * cot, "q": (2 * (m * r // b) - r + 1) * cot,
+            "v": (2 * (k * r % b) - b) / b * cot}
+
+
+class TestFsumOfPieces:
+    """Each direct sum is math.fsum of its pieces: of its float terms with
+    `oracle`, else of its chunks' pairwise sums."""
+
     @pytest.mark.parametrize(
-        "n", [*range(1, 10), *(2**k + d for k in range(4, 13) for d in (-1, 1))]
+        "r,b",
+        # one chunk of k up to b = 524289, then 2 and 4 chunks
+        [(4, 11), (3001, 10007), (15013, 30030), (41234, 100003), (123457, 524309), (987654, 2097143)],
     )
-    def test_in_place_tree_equals_allocating_tree(self, n, rows):
-        """The tree's root + lo obeys Sum2's bound against the exact rational sum S:
-        |fl(root + lo) - S| <= u |S| + gamma_(n-1)^2 sum |t|, u = 2^-53 (Ogita,
-        Rump and Oishi, SIAM J. Sci. Comput. 26, 2005, Prop. 4.5)."""
-        # terms of mixed signs across 40 binades make every level carry errors
-        rng = np.random.default_rng(n)
-        t = rng.standard_normal((rows, n)) * 2.0 ** rng.integers(-20, 20, (rows, n))
-        root, lo = core._two_sum_tree(t.copy())
-        gamma = Fraction(n - 1, 2**53 - (n - 1))
-        for i, row in enumerate(t.tolist()):
-            exact = sum(map(Fraction, row))
-            bound = abs(exact) / 2**53 + gamma**2 * sum(abs(Fraction(x)) for x in row)
-            assert abs(Fraction(float(root[i] + lo[i])) - exact) <= bound, i
+    def test_oracle_is_fsum_of_terms_default_of_chunk_sums(self, r, b):
+        oracle, _ = core.direct_sums([r], b, core._ROWS, oracle=True)
+        default, _ = core.direct_sums([r], b, core._ROWS)
+        for i, (row, t) in enumerate(_paired_terms(r, b).items()):
+            assert float(oracle[i, 0]).hex() == math.fsum(t.tolist()).hex(), row
+            chunks = [np.add.reduce(t[j : j + core._CELLS]) for j in range(0, len(t), core._CELLS)]
+            assert float(default[i, 0]).hex() == math.fsum(chunks).hex(), row
 
 
 def _fsum_of_product_powers(x, k_max):
