@@ -2,6 +2,9 @@
 and the self-verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
+`main` alone decides them: `c0`, `scan` and `asympt` raise `ValueError` for
+a usage fault and let a failed write's `OSError` through, and `verify`
+reports its own failures.
 Output files land in the directory named by the COTSUMS_OUTDIR environment
 variable (falling back to the working directory) unless an explicit path is
 given.  All numbers are serialized with 17 significant digits, CSV with
@@ -79,13 +82,8 @@ def report_to_dict(rep: equidist.ScanReport) -> dict:
 
 
 def cmd_c0(args: argparse.Namespace) -> int:
-    oracle = args.precision == "oracle"
-    try:
-        frac = core.ReducedFraction(args.r, args.b)
-        val, qv, vv = core.c0_q_v(frac, oracle=oracle)
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    frac = core.ReducedFraction(args.r, args.b)
+    val, qv, vv = core.c0_q_v(frac, oracle=args.precision == "oracle")
     re, im = core.estermann_at_zero(frac, val)
     label = f"{frac.r}/{frac.b}"
     print(f"c0({label}) = {_g17(val.value)} (err_bound {val.err_bound:.3g})")
@@ -95,80 +93,62 @@ def cmd_c0(args: argparse.Namespace) -> int:
     return 0
 
 
+# The flags only a window scan reads, each with its test of being given;
+# `--figure` rejects every one of them.
+_WINDOW_ONLY = (
+    ("--a0", lambda a: a.a0 is not None),
+    ("--a1", lambda a: a.a1 is not None),
+    ("--kmax", lambda a: a.kmax is not None),
+    ("--threads", lambda a: a.threads is not None),
+    ("--deterministic", lambda a: a.deterministic),
+    ("--format json", lambda a: a.format == "json"),
+)
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.figure:
-        flags = [f for f, on in (("--a0", args.a0 is not None), ("--a1", args.a1 is not None),
-                                 ("--kmax", args.kmax is not None),
-                                 ("--format json", args.format == "json")) if on]
+        flags = [flag for flag, given in _WINDOW_ONLY if given(args)]
         if flags:
-            print(f"error: {', '.join(flags)} applies to a window scan, not to --figure", file=sys.stderr)
-            return 2
-        try:
-            rs, c0v = equidist.batch_c0(args.b)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"{', '.join(flags)} applies to a window scan, not to --figure")
+        rs, c0v = equidist.batch_c0(args.b)
         path = _out_path(args.output, f"figure_b{args.b}.csv")
-        try:
-            _write_table(path, ("r", "c0"), _R_C0, rs, c0v)
-        except OSError as exc:
-            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-            return 3
+        _write_table(path, ("r", "c0"), _R_C0, rs, c0v)
         print(f"wrote {len(rs)} rows to {path}")
         return 0
 
     if args.a0 is None or args.a1 is None:
-        print("error: moment mode needs --a0 and --a1 (or use --figure)", file=sys.stderr)
-        return 2
+        raise ValueError("moment mode needs --a0 and --a1 (or use --figure)")
     csv_path = _out_path(args.output, f"scan_b{args.b}.csv")
     json_path = os.path.splitext(csv_path)[0] + ".json"
     if args.format is None and csv_path == json_path:
-        print(f"error: --output {args.output} names both the CSV and the JSON report; "
-              "pass --format, or a name not ending in .json", file=sys.stderr)
-        return 2
-    try:
-        window = equidist.ScanWindow(args.b, args.a0, args.a1)
-        rep = equidist.scan(window, 3 if args.kmax is None else args.kmax, deterministic=args.deterministic)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.format in (None, "csv"):
-            _write_table(csv_path, ("r", "c0"), _R_C0, rep.residues, rep.c0_values)
-            print(f"wrote {len(rep.residues)} rows to {csv_path}")
-        if args.format in (None, "json"):
-            with open(json_path, "w", encoding="utf-8") as fh:
-                json.dump(report_to_dict(rep), fh, indent=2)
-                fh.write("\n")
-            print(f"wrote report to {json_path}")
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 3
+        raise ValueError(f"--output {args.output} names both the CSV and the JSON report; "
+                         "pass --format, or a name not ending in .json")
+    window = equidist.ScanWindow(args.b, args.a0, args.a1)
+    rep = equidist.scan(window, 3 if args.kmax is None else args.kmax, deterministic=args.deterministic)
+    if args.format in (None, "csv"):
+        _write_table(csv_path, ("r", "c0"), _R_C0, rep.residues, rep.c0_values)
+        print(f"wrote {len(rep.residues)} rows to {csv_path}")
+    if args.format in (None, "json"):
+        with open(json_path, "w", encoding="utf-8") as fh:
+            json.dump(report_to_dict(rep), fh, indent=2)
+            fh.write("\n")
+        print(f"wrote report to {json_path}")
     return 0
 
 
 def cmd_asympt(args: argparse.Namespace) -> int:
+    if not 0 <= args.n <= asymptotics._MAX_ORDER:
+        raise ValueError(f"--n must be in 0..{asymptotics._MAX_ORDER}")
     try:
         blist = [int(x) for x in args.b_list.split(",")]
     except ValueError:
-        blist = None
-    if not 0 <= args.n <= asymptotics._MAX_ORDER:
-        fault = f"--n must be in 0..{asymptotics._MAX_ORDER}"
-    elif blist is None:
-        fault = "--b-list must be comma-separated integers"
-    elif min(blist) < 2:
-        fault = "--b-list moduli must be >= 2"
-    elif max(blist) > core._B_MAX:
-        fault = f"--b-list moduli must be <= {core._B_MAX}"
-    elif any(y <= x for x, y in zip(blist, blist[1:])):
-        fault = "--b-list must be strictly ascending"
-    elif blist[-1] ** (args.n + 1) > sys.float_info.max:  # scaled_residual's factor, exact
-        fault = f"b^(n+1) exceeds the float maximum {sys.float_info.max:.3g} at b = {blist[-1]}"
-    else:
-        fault = None
-    if fault:
-        print(f"error: {fault}", file=sys.stderr)
-        return 2
+        raise ValueError("--b-list must be comma-separated integers") from None
+    for b in blist:
+        core._check_modulus(b)
+    if any(y <= x for x, y in zip(blist, blist[1:])):
+        raise ValueError("--b-list must be strictly ascending")
+    if blist[-1] ** (args.n + 1) > sys.float_info.max:  # scaled_residual's factor, exact
+        raise ValueError(f"b^(n+1) exceeds the float maximum {sys.float_info.max:.3g} at b = {blist[-1]}")
     exact, main, residual, scaled = (np.full(len(blist), math.nan) for _ in range(4))
     # the flagged rows' template: `%.0s` prints its field empty
     row = ["%d,%.17g,%.0s,%.0s,%.0s\n"] * len(blist)
@@ -183,11 +163,7 @@ def cmd_asympt(args: argparse.Namespace) -> int:
         row[i] = "%d,%.17g,%.17g,%.17g,%.17g\n"
     path = _out_path(args.output, f"asympt_n{args.n}.csv")
     header = ("b", "exact", "main", "residual", "scaled_residual")
-    try:
-        _write_table(path, header, row, np.array(blist), exact, main, residual, scaled)
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return 3
+    _write_table(path, header, row, np.array(blist), exact, main, residual, scaled)
     print(f"wrote {len(blist)} rows to {path}")
     return 0
 
@@ -457,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument(
         "--threads",
         type=int,
-        help="ignored: every kernel is serial (kept so existing command lines parse)",
+        help="ignored by window scans, rejected by --figure: every kernel is serial",
     )
     p_scan.add_argument("--deterministic", action="store_true")
     p_scan.add_argument("--format", choices=("csv", "json"), default=None)
@@ -479,13 +455,18 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    handler = {
-        "c0": cmd_c0,
-        "scan": cmd_scan,
-        "asympt": cmd_asympt,
-        "verify": cmd_verify,
-    }[args.command]
-    return handler(args)
+    if args.command == "verify":
+        # outside the mapping below: an exception in a suite is a bug
+        return cmd_verify(args)
+    handler = {"c0": cmd_c0, "scan": cmd_scan, "asympt": cmd_asympt}[args.command]
+    try:
+        return handler(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -66,6 +66,20 @@ def _golden_cases():
     return [pytest.param(argv, "".join(out), id=" ".join(argv[1:])) for argv, out in cases]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["c0", "--r", "2", "--b", "4"], ["c0", "--r", "1", "--b", "0"], ["scan", "--b", "101"],
+     ["scan", "--b", "101", "--figure", "--kmax", "5"], ["asympt", "--n", "0", "--b-list", "9,7"]],
+    ids=" ".join,
+)
+def test_usage_error_is_one_stderr_line(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.endswith("\n")
+
+
 class TestC0Golden:
     # b = 2..105, composite 30030 at r = 1 and b - 1, primes with 1, 2 and 4
     # chunks of the direct kernel (10007, 524309, 2097143), the benchmark's
@@ -174,7 +188,8 @@ class TestScanFigure:
     @pytest.mark.parametrize(
         "extra,flag",
         [(["--a0", "0.6"], "--a0"), (["--a1", "0.8"], "--a1"), (["--format", "json"], "--format json"),
-         (["--kmax", "5"], "--kmax")],
+         (["--kmax", "5"], "--kmax"), (["--deterministic"], "--deterministic"),
+         (["--threads", "4"], "--threads")],
     )
     def test_window_only_flag_is_usage_error(self, tmp_path, capsys, extra, flag):
         # figure mode writes the whole CSV table; a window flag would be dropped
