@@ -45,6 +45,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # f's with that cap removed, (2/pi) d(k)/k.
 FOURIER_CONSTANT = 2.0 / math.pi
 
+# Cells per step of the grid routes and the sine coefficients: a block of the
+# binned kernel or of the Fourier fold, a slice of the weights.
+_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class TruncatedGSeries:
@@ -116,6 +120,15 @@ def _f_points(alphas: np.ndarray, m1: int, prefix: int | None = None):
     return out if prefix is None else (out, head)
 
 
+def _mod(x: np.ndarray, n: int) -> np.ndarray:
+    # x mod n in place, bit for bit np.remainder's for 0 <= x < 2^53 at a tenth
+    # of its cost: with q = floor(x/n), x - n q is a multiple of ulp(x) in
+    # [0, n), hence exact, and fl(x/n) < q + 1, as q + 1 - x/n >= ulp(x)/n
+    # exceeds half the spacing of floats below q + 1
+    q = np.floor(np.divide(x, n))
+    return np.subtract(x, np.multiply(q, n, out=q), out=x)
+
+
 def _f_offset_grid(n: int, c: float, m1: int, prefix: int | None = None):
     """f at the uniform offset grid alpha_j = ((j + c)/n) mod 1, j = 0..n-1.
 
@@ -124,16 +137,21 @@ def _f_offset_grid(n: int, c: float, m1: int, prefix: int | None = None):
     where m_l = n - floor(h_l), so f_j = H_L - (2/n) sum_l h_l/l + sum_a G_a[r],
     G_a[r] = sum_{l in class a} (2[r >= m_l] - 2r/n)/l; residue 0 adds only
     constants.  As (n-a)*j = -a*j mod n, classes a and n - a share one table
-    G_a[r] + G_{n-a}[-r] from one `bincount` difference array and one `cumsum`
-    (n/2 of even n pairs with itself).  Blocks of 2^16 // n pairs (about 2^16
+    G_a[r] + G_{n-a}[-r] from one difference array and one `cumsum` (n/2 of
+    even n pairs with itself).  Blocks of 2^16 // n pairs (about 2^16
     cells) are gathered at r, which a uint32 add and an unsigned-wrap `minimum`
-    advance with no integer modulo: O(n^2 + L), no sort.  Each block builds its
-    keys and weights from h and 1/l, the only grid-wide arrays, so memory is
-    two L-length arrays plus one block.  At L <= 4n the dense `_f_points` sweep
-    runs; the switch is conservative (on 2 vCPUs, n = 1201 to 8191, the kernel
-    ran 0.9-1.2x the dense sweep's speed at L = 2n, 1.1-1.6x at L = 2.7n-3.4n
-    and 1.8-2.2x at L = 4n).  No l*alpha_j may be an integer (offsets away from
-    rationals); tests pin agreement with `_f_points`.
+    advance with no integer modulo: O(n^2 + L), no sort.  Each block builds
+    its classes' l, h_l and 1/l itself, in chunks of rows t of about 2^16
+    cells (one chunk below L ~ n^2/2), whose weights `np.add.at` adds one
+    after another, in array order, into the block's reused difference array.  The
+    constant H_L - (2/n) sum_l h_l/l is summed from every chunk's pieces,
+    class 0's included, by one `math.fsum` and added after the blocks.  So
+    the kernel holds a few 2^16-cell arrays whatever L is.  At L <= 4n the dense
+    `_f_points` sweep runs; the switch is conservative (on 2 vCPUs, n = 1201
+    to 8191, the kernel ran 0.9-1.2x the dense sweep's speed at L = 2n,
+    1.1-1.6x at L = 2.7n-3.4n and 1.8-2.2x at L = 4n).  No l*alpha_j may be an
+    integer (offsets away from rationals); tests pin agreement with
+    `_f_points`.
     With `prefix` <= m1 it returns the pair (f(.; m1), f(.; prefix)) on the
     grid, from one `_f_points` sweep on the dense route and from two calls,
     one after the other, on the binned route.
@@ -146,37 +164,52 @@ def _f_offset_grid(n: int, c: float, m1: int, prefix: int | None = None):
     if prefix is not None:  # one row after the other, so their buffers never overlap
         return _f_offset_grid(n, c, m1), _f_offset_grid(n, c, prefix)
 
-    rows = big_l // n + 1
-    h = np.arange(rows * n, dtype=float)  # l, then h_l in place
-    inv = np.zeros(rows * n)
-    np.divide(1.0, h[1 : big_l + 1], out=inv[1 : big_l + 1])
-    np.remainder(np.multiply(h, c % n, out=h), n, out=h)  # l*c >= 0 keeps h in [0, n), also for c < 0
-    out = np.full(n, np.sum(inv) - (2.0 / n) * _pairwise_dot(h, inv))  # inv is 0 off l = 1..L
-    # pair p joins class a = p + 1 with class n - a; a block's `bincount` keys are
-    # n - floor(h) and floor(h) + 1 (pair i's bins start at i*(n+1)), weights +-2/l
-    h, inv = h.reshape(rows, n).T, inv.reshape(rows, n).T  # l = t*n + a sits at [a, t]
+    rows, cn, pieces = big_l // n + 1, c % n, []  # l*cn >= 0 keeps h in [0, n), also for c < 0
+
+    def terms(a, t0, t1):
+        # h_l and 1/l (0 past L) at l = t*n + a, t0 <= t < t1 on the last axis,
+        # with their pieces of the constant H_L - (2/n) sum h_l/l
+        l = np.arange(t0 * n, t1 * n, n, dtype=float) + a[..., None]
+        inv = np.divide(1.0, l)
+        if t1 == rows:
+            inv[..., -1] *= l[..., -1] <= big_l
+        if a.ndim and a[-1, 0] == a[-1, 1]:
+            inv[-1, 1] = 0.0  # class n/2 of even n pairs with itself: counted once
+        h = _mod(np.multiply(l, cn, out=l), n)
+        pieces.extend((inv.sum(), -2.0 / n * (h * inv).sum()))
+        return h, inv
+
+    for t0 in range(1, rows, _BLOCK):  # class 0 adds only constants
+        terms(np.zeros(()), t0, min(t0 + _BLOCK, rows))
+    # pair p joins class a = p + 1 with class n - a; a block's difference-array keys
+    # are n - floor(h) and floor(h) + 1 (pair i's bins start at i*(n+1)), weights +-2/l
     pairs = n // 2
-    width = max(1, min(pairs, (1 << 16) // n))
+    width = max(1, min(pairs, _BLOCK // n))
+    span = max(1, _BLOCK // (2 * width))  # rows t per chunk of a block
     j, k = np.arange(n), np.arange(width)[:, None]
     r = ((k + 1) * j % n).astype(np.uint32)
     step, base = (width * j % n).astype(np.uint32), (k * (n + 1)).astype(np.uint32)
     ends, sign = base[:, :, None] + np.array([[n], [1]]), np.array([[-1.0], [1.0]])
     cols = np.arange(1, pairs + 1)[:, None] * [1, -1] + [0, n]  # [a, n - a]
     idx, spare, vals = np.empty_like(r), np.empty_like(r), np.empty(r.shape)
+    out, table = np.zeros(n), np.empty((width, n + 1))
     for p in range(0, pairs, width):
         q = min(p + width, pairs)
-        keys = (np.floor(h[cols[p:q]]) * sign).astype(np.int64) + ends[: q - p]
-        wts = inv[cols[p:q]] * (-2.0 * sign)
-        if q == pairs:
-            wts[-1, 1] *= n % 2  # class n/2 of even n pairs with itself
-        slope = -wts.reshape(q - p, -1).sum(axis=1) / n
-        table = np.bincount(keys.ravel(), wts.ravel(), width * (n + 1)).reshape(width, n + 1)
-        table[: q - p, 1:] += slope[:, None]
+        table.fill(0.0)
+        total = np.zeros(q - p)
+        for t0 in range(0, rows, span):
+            h, inv = terms(cols[p:q], t0, min(t0 + span, rows))
+            keys = (np.floor(h) * sign).astype(np.int64) + ends[: q - p]
+            wts = inv * (-2.0 * sign)
+            np.add.at(table.ravel(), keys.ravel(), wts.ravel())
+            total += wts.reshape(q - p, -1).sum(axis=1)
+        table[: q - p, 1:] -= total[:, None] / n
         np.cumsum(table, axis=1, out=table)
         np.add(r, base, out=idx)
         out += np.add.reduce(np.take(table, idx, out=vals, mode="clip"), axis=0)
         r += step
         np.minimum(r, np.subtract(r, n, out=spare), out=r)
+    out += math.fsum(pieces)
     return out
 
 
@@ -187,32 +220,43 @@ def _fourier_offset_grid(n: int, c: float, M: int) -> np.ndarray:
     k mod n once the offset twist e(k c / n) = e^{2 pi i k c / n} is absorbed
     into the coefficients, so the whole k <= M sum collapses to an n-bin fold
     and one inverse FFT.  With k = t n + a the twist splits as
-    e(t c) e(a c / n): the weights, laid out as an (M // n + 1) x n matrix
+    e(t c) e(a c / n): the weights, read as an (M // n + 1) x n matrix
     (k = 0 and k > M weigh 0), are summed along t against cos and sin of the
     row phases 2 pi t c, the real and imaginary parts one after the other, by
     `np.add.reduce` (in t order, no BLAS), and bin a is then turned by
     e(a c / n).  So M // n + 1 + n exponentials replace M, and the phase error
-    is about (M/n) eps instead of M eps.
+    is about (M/n) eps instead of M eps.  The fold copies the cached weights
+    in blocks of 2^16 // n rows, and each block's sum starts from the running
+    sums in its first row, so every bin adds its terms one after another in
+    t order while the fold holds a few 2^16-cell arrays beside the weights.
     """
     if n < 1 or M < 1:
         raise ValueError("n >= 1 and M >= 1 required")
-    w = np.zeros((M // n + 1) * n)
-    w[1 : M + 1] = _fourier_weights(M)
-    w = w.reshape(-1, n)
-    phase = 2.0 * np.pi * (np.arange(len(w)) * c % 1.0)
-    folded = np.empty(n, dtype=complex)
-    folded.real = np.add.reduce(w * np.cos(phase)[:, None], axis=0)
-    folded.imag = np.add.reduce(w * np.sin(phase)[:, None], axis=0)
+    weights, rows = _fourier_weights(M), M // n + 1
+    height = max(1, _BLOCK // n)
+    buf, sums = np.empty((height + 1, n)), np.zeros((2, n))
+    for t0 in range(0, rows, height):
+        t1 = min(t0 + height, rows)
+        lo, hi = max(t0 * n, 1), min(t1 * n, M + 1)  # the block's k with weights
+        w = np.zeros((t1 - t0, n))
+        w.ravel()[lo - t0 * n : hi - t0 * n] = weights[lo - 1 : hi - 1]
+        phase = 2.0 * np.pi * (np.arange(t0, t1) * c % 1.0)
+        for acc, wave in zip(sums, (np.cos(phase), np.sin(phase))):
+            buf[0] = acc
+            np.multiply(w, wave[:, None], out=buf[1 : len(w) + 1])
+            np.add.reduce(buf[: len(w) + 1], axis=0, out=acc)
+    folded = sums[0] + 1j * sums[1]
     folded *= np.exp(2j * np.pi * (np.arange(n) * (c / n) % 1.0))
     return np.fft.ifft(folded).imag * n
 
 
 def _tau(limit: int, cap: int | None = None) -> np.ndarray:
     # counts of the divisors <= cap of 1..limit, index 0 unused: one slice per
-    # divisor up to isqrt(limit), then one per cofactor j of the larger ones
+    # divisor up to isqrt(limit), then one per cofactor j of the larger ones;
+    # uint16 holds every count, tau(k) <= 6720 for k <= 10^12
     cap = limit if cap is None else cap
     s = math.isqrt(limit)
-    d = np.zeros(limit + 1, dtype=np.int64)
+    d = np.zeros(limit + 1, dtype=np.uint16)
     for l in range(1, min(s, cap) + 1):
         d[l::l] += 1
     for j in range(1, limit // (s + 1) + 1):
@@ -221,8 +265,13 @@ def _tau(limit: int, cap: int | None = None) -> np.ndarray:
 
 
 def _sine_coeffs(K: int, cap: int) -> np.ndarray:
-    # FOURIER_CONSTANT * d(k; cap)/k, k = 1..K, d counting the divisors <= cap
-    return FOURIER_CONSTANT * _tau(K, cap)[1:] / np.arange(1, K + 1, dtype=float)
+    # FOURIER_CONSTANT * d(k; cap)/k, k = 1..K, d counting the divisors <= cap,
+    # formed a slice of 2^16 at a time next to the 2-byte counts
+    d, out = _tau(K, cap), np.empty(K)
+    for lo in range(1, K + 1, _BLOCK):
+        hi = min(lo + _BLOCK, K + 1)
+        out[lo - 1 : hi - 1] = FOURIER_CONSTANT * d[lo:hi] / np.arange(lo, hi, dtype=float)
+    return out
 
 
 @lru_cache(maxsize=8)

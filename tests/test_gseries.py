@@ -89,6 +89,18 @@ def _fourier_points():
     return np.concatenate([np.arange(65) / 64, golden, 1.0 - golden, [-gseries._GOLDEN, 1.0 + gseries._GOLDEN]])
 
 
+# ru_maxrss growth (KiB on Linux) of one binned grid at (n, m1) = argv[1:3]
+_GRID_MEMORY = """
+import math, resource, sys
+from cotsums import gseries
+n, m1 = int(sys.argv[1]), int(sys.argv[2])
+peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak()
+gseries._f_offset_grid(n, 0.5 + math.modf(n * gseries._GOLDEN)[0], m1)
+print(peak() - before)
+"""
+
+
 class TestBinnedKernel:
     # n = 2 and 4 pair the class n/2 with itself, n = 1 has no pair at all;
     # at n = 997 and 1000 the 2^16 // n = 65 pairs per block leave a partial
@@ -128,19 +140,42 @@ class TestBinnedKernel:
         c = 0.5 + math.modf(n * gseries._GOLDEN)[0]
         assert hashlib.sha256(gseries._f_offset_grid(n, c, m1).tobytes()).hexdigest() == digest
 
+    def test_reduction_is_numpys_remainder(self):
+        # h_l = (l (c mod n)) mod n at random l up to 2^52 / n and c mod n up to
+        # n itself, and at x one ulp below a multiple of n, where x/n rounds
+        # closest to the next quotient
+        rng = np.random.default_rng(2026)
+        for n in (1, 3, 997, 1000, 4001, 65537, 10**6):
+            l = np.concatenate([np.arange(1.0, 5000.0), rng.integers(1, 2**52 // n, 100_000).astype(float)])
+            below = np.nextafter(rng.integers(1, 2**53 // n, 100_000).astype(float) * n, 0)
+            for x in (l * (rng.random() * n), l * float(n), below):
+                assert np.array_equal(gseries._mod(x.copy(), n).view(np.uint64), np.remainder(x, n).view(np.uint64))
+
+    def test_golden_grids_match_exact_sum(self):
+        # anchors the recorded hashes: at three nodes of two golden grids, the
+        # kernel's own float h_l = (l*(c mod n)) mod n and 1/l summed exactly,
+        # n f_j = sum_l (n - 2r - 2h_l + 2n [r >= n - floor(h_l)]) / l, r = l j mod n
+        for n, m1 in [(997, 12), (1000, 13)]:
+            c = 0.5 + math.modf(n * gseries._GOLDEN)[0]
+            l = np.arange(1, (1 << m1) + 1)
+            h, inv = np.remainder(l * (c % n), n), 1.0 / l
+            got = gseries._f_offset_grid(n, c, m1)
+            for j in (0, n // 3, n - 1):
+                r = l * j % n
+                coef = n - 2 * r + 2 * n * (r >= n - np.floor(h))
+                total = sum(Fraction(w) * (int(k) - 2 * Fraction(x)) for w, k, x in zip(inv.tolist(), coef, h.tolist()))
+                assert abs(Fraction(got[j]) - total / n) <= 1e-13
+
     def test_memory_is_bounded_by_a_block(self, fresh_child):
-        # the gmachinery grid in a fresh interpreter: past the constant term the
-        # kernel keeps h and 1/l (8 MB each at L = 2^20) plus one block's tables;
-        # grid-wide key and weight arrays grew ru_maxrss (KiB on Linux) by 68 MB
-        script = (
-            "import math, resource\n"
-            "from cotsums import gseries\n"
-            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "before = peak()\n"
-            "gseries._f_offset_grid(2000, 0.5 + math.modf(2000 * gseries._GOLDEN)[0], 20)\n"
-            "print(peak() - before)\n"
-        )
-        assert int(fresh_child(script)) * 1024 < 45 * 2**20
+        # the gmachinery grid in a fresh interpreter: the kernel builds every
+        # block's l, h_l and 1/l in chunks of about 2^16 cells; grid-wide h and
+        # 1/l arrays (8 MB each at L = 2^20) grew ru_maxrss (KiB on Linux) by 24 MB
+        assert int(fresh_child(_GRID_MEMORY, "2000", "20")) * 1024 < 16 * 2**20
+
+    def test_memory_does_not_grow_with_terms(self, fresh_child):
+        # L = 2^22 at n = 997 chunks each block's 4208 rows t; grid-wide h and
+        # 1/l arrays grew ru_maxrss by 96 MB
+        assert int(fresh_child(_GRID_MEMORY, "997", "22")) * 1024 < 16 * 2**20
 
 
 class TestSeriesKernel:
@@ -245,6 +280,21 @@ class TestDivisorSieve:
             brute = [sum(k % l == 0 for l in range(1, min(k, top) + 1)) for k in range(1, limit + 1)]
             assert np.array_equal(gseries._tau(limit, cap)[1:], brute)
 
+    def test_peak_count_at_highly_composite_limit(self):
+        # tau(720720) = 240 is the largest count up to that limit; counts by
+        # divisor pairs at the top of the range and at highly composite k
+        limit = 720720
+        ks = list(range(limit - 200, limit + 1)) + [5040, 55440, 332640, 498960, 554400, 665280]
+        for cap in (None, 1000, math.isqrt(limit), limit):
+            top = limit if cap is None else cap
+            d = gseries._tau(limit, cap)
+            for k in ks:
+                pairs = [(l, k // l) for l in range(1, math.isqrt(k) + 1) if k % l == 0]
+                divisors = {x for pair in pairs for x in pair}
+                assert d[k] == sum(x <= top for x in divisors)
+            if cap is None:
+                assert d[limit] == d.max() == 240
+
 
 class TestFourierEvaluator:
     @given(st.integers(min_value=1, max_value=(1 << 53) - 1))
@@ -307,6 +357,21 @@ class TestFourierEvaluator:
         )
         assert int(fresh_child(script)) * 1024 < 33 * 2**20
 
+    def test_grid_memory_is_weights_plus_a_block(self, fresh_child):
+        # the gmachinery grid in a fresh interpreter: the cached weights (8 MB at
+        # M = 2^20) and their 2-byte divisor counts, then blocks of about 2^16
+        # cells; a padded copy of the weights and the (M // n + 1) x n products
+        # grew ru_maxrss (KiB on Linux) by 25-34 MB
+        script = (
+            "import math, resource\n"
+            "from cotsums import gseries\n"
+            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak()\n"
+            "gseries._fourier_offset_grid(2000, 0.5 + math.modf(2000 * gseries._GOLDEN)[0], 2**20)\n"
+            "print(peak() - before)\n"
+        )
+        assert int(fresh_child(script)) * 1024 < 16 * 2**20
+
     @pytest.mark.parametrize("n,M", [(2000, 1 << 20), (997, 100_000)])
     def test_folded_twist_matches_per_k_twist(self, n, M):
         # reference: the twist e(k c / n) evaluated at every k, then binned
@@ -331,6 +396,15 @@ class TestFourierCoeffs:
     def test_g_weights_are_uncapped_f_coefficients(self, m1, M):
         # 2^m1 >= M: no divisor of k <= M exceeds the cap
         assert np.array_equal(gseries._fourier_weights(M), fourier_coeffs_f(TruncatedGSeries(m1), M))
+
+    @pytest.mark.parametrize("m1", [10, None])
+    def test_coefficients_equal_one_piece_formula(self, m1):
+        # K = 200003 spans four 2^16 slices; cap 2^10 < K for f, cap = K for g
+        K = 200_003
+        cap = K if m1 is None else 1 << m1
+        got = gseries._fourier_weights(K) if m1 is None else fourier_coeffs_f(TruncatedGSeries(m1), K)
+        want = FOURIER_CONSTANT * gseries._tau(K, cap)[1:] / np.arange(1, K + 1)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_leading_coefficient(self):
         s = fourier_coeffs_f(TruncatedGSeries(6), 10)
