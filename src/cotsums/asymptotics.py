@@ -270,6 +270,8 @@ def default_b_list(r: int, b0: int, bmax: int) -> list[int]:
     For r = 1 every residue class coincides; odd b only, which keeps the
     sampling pattern of the fits uniform across the r = 1 and r = 2 cases.
     """
+    if r < 1:
+        raise ValueError("r >= 1 required")
     if r == 1:
         return list(range(3, bmax + 1, 2))
     out = []
@@ -291,6 +293,8 @@ def c1_empirical(r: int, b0: int, b_list: Sequence[int]) -> tuple[float, float]:
     well the slope explains the signal per unit b with the O(1) part treated
     as nuisance.
     """
+    if r < 1:
+        raise ValueError("r >= 1 required")
     if len(b_list) < 3:
         raise ValueError("b_list must contain at least 3 values")
     prev = 0

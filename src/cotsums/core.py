@@ -10,11 +10,12 @@ with cot(pi k/b) computed per cache-sized tile (no cot table), is serial,
 uses no BLAS, and gives a value the same bit for bit whatever batch or set
 of sums computes it (same machine and numpy build).  A default-precision
 call whose terms fit one tile (a point value at b <= 32769, every unit of
-b <= 725 in one batch) forms and sums that tile with no chunk loop, so the
-thousands of small sums of `cotsums verify` pay little fixed cost per
-call.  A sum ends in one math.fsum of its pieces: its chunks' pairwise
-sums, or in oracle precision the exact parts of error-free extraction, the
-routine that also sums the window moments' powers (`_power_sums`).
+b <= 725 in one batch) forms and sums that tile for all its residues at
+once, so the thousands of small sums of `cotsums verify` pay little fixed
+cost per call; a larger call runs residue by residue, in chunks of 2^18
+terms per sum.  A sum ends in one math.fsum of its pieces: its chunks'
+pairwise sums, or in oracle precision the exact parts of error-free
+extraction, the routine that also sums the window moments' powers.
 `c0_q_v` is that sweep at one fraction, as `cotsums c0` prints it.
 """
 
@@ -126,11 +127,10 @@ def cot_table(b: int) -> np.ndarray:
 # power table in `equidist`) cannot overflow: every factor is below b.
 _B_MAX = math.isqrt(2**63 - 1)
 
-# Cells (residue x k) per summation block: each row of a block sums one chunk.
+# Terms per sum in a chunk of k, and the cap on the one-tile path's cells.
 _CELLS = 1 << 18
-# The terms are formed in tiles of a block's residues x at most _TILE_K values
-# of k, so that a single residue's integer and cot temporaries stay in L2
-# cache; tiles do not enter the sums, so the values do not depend on them.
+# The terms are formed in tiles of at most _TILE_K values of k, so that the
+# integer and cot temporaries stay in L2 cache; the values do not depend on them.
 _TILE_K = 1 << 14
 
 _ROWS = ("c0", "q", "v")
@@ -241,32 +241,33 @@ def direct_sums(rs, b: int, rows, *, oracle: bool = False):
     The integer weights run in int32 when every product fits,
     b * max(b, max |r|) < 2^31 (so b <= 46340 at r <= b), else in int64;
     both widths give the same integers, hence the same values.
-    k runs in chunks whose bounds depend only on b.  One sweep forms every
-    row's terms of a chunk in cache-sized tiles; a tile computes its
-    cotangents by the element operations of `cot_table` (no table is built
-    or read) and m_k once for the c0 and q rows.  So memory is bounded by a
-    chunk of terms per row, whatever b.  Each sum collects pieces, and
-    math.fsum rounds them once at the end (an empty sum is +0.0): the
-    pairwise sums of its chunks (`np.add.reduce`, one call over the (rows,
-    residues, k) block), or with `oracle` the exact parts that `_extract`
-    takes from each tile's columns of a chunk, one row at a time, so that an
-    oracle value is the float nearest the exact sum of its float terms.  So
-    a value does not depend on the other residues or rows.  A
-    default-precision call whose terms fit one tile, (b-1)//2 <= `_TILE_K`
-    and len(rs) (b-1)//2 <= `_CELLS` (every b <= 32769 at one residue), is
-    that one tile summed with no chunk loop or block buffers: the same
-    terms, sums and bits at a fraction of the fixed cost.  Both results are
-    (len(rows), len(rs)); a name may appear in `rows` once.
+    A default-precision call whose terms fit one tile, (b-1)//2 <= `_TILE_K`
+    and len(rs) (b-1)//2 <= `_CELLS` (a point value at b <= 32769, every
+    unit of b <= 725), forms and sums that tile for all residues together.
+    Anything larger runs one residue at a time: k in chunks of `_CELLS`
+    whose bounds depend only on b, each chunk's terms of every row formed in
+    cache-sized tiles that compute their cotangents by the element
+    operations of `cot_table` (no table is built or read) and m_k once for
+    the c0 and q rows.  So memory is one chunk of 2^18 terms per row,
+    whatever b or len(rs).  math.fsum rounds each sum's pieces once (an
+    empty sum is +0.0): its chunks' pairwise `np.add.reduce` sums, or with
+    `oracle` the exact parts that `_extract` takes from each tile, so that
+    an oracle value is the float nearest the exact sum of its float terms.
+    Both paths give the same bits, so a value does not depend on the other
+    residues or rows.  Both results are (len(rows), len(rs)); a name may
+    appear in `rows` once; |r| <= (2^63 - 1) // b, as int64 r m overflows.
     """
-    rs = np.asarray(rs, dtype=np.int64)
     _check_modulus(b)
+    units, r_max = np.asarray(rs).tolist(), (2**63 - 1) // b
+    if max(map(abs, units), default=0) > r_max:
+        raise ValueError(f"|r| <= {r_max} required at b={b} (int64 products r*m overflow above it)")
     rbar = []
-    for r in rs.tolist():
+    for r in units:
         try:
             rbar.append(pow(r, -1, b))
         except ValueError:
             raise ValueError(f"r={r} is not a unit mod b={b}") from None
-    return _direct_sums(rs, rbar, b, rows, oracle)
+    return _direct_sums(np.array(units, dtype=np.int64), rbar, b, rows, oracle)
 
 
 def _direct_sums(rs: np.ndarray, rbar, b: int, rows, oracle: bool = False):
@@ -291,39 +292,32 @@ def _direct_sums(rs: np.ndarray, rbar, b: int, rows, oracle: bool = False):
         biggest = np.abs(t, out=t).max(axis=-1)
         return total.reshape(len(rows), len(rs)), biggest.reshape(len(rows), len(rs))
     chunk = max(1, min(half, _CELLS))
-    block = max(1, min(len(rs), _CELLS // chunk))
     width = min(chunk, _TILE_K)
-    # the pieces of each sum, which math.fsum rounds once at the end
-    pieces = [[[] for _ in range(len(rs))] for _ in rows]
-    biggest = np.zeros((len(rows), len(rs)))
-    # Buffers allocated once: fresh block-sized temporaries would page-fault.
-    terms = np.empty((len(rows), block * chunk))
-    ints = np.empty((2, block * width), dtype=dtype)
+    values, biggest = np.empty((len(rows), len(rs))), np.zeros((len(rows), len(rs)))
+    # Buffers allocated once: fresh chunk-sized temporaries would page-fault.
+    terms = np.empty((len(rows), chunk))
+    ints = np.empty((2, width), dtype=dtype)
     cbuf = np.empty(width)
-    for k0 in range(1, half + 1, chunk):
-        n = min(chunk, half + 1 - k0)
-        for start in range(0, len(rs), block):
-            sl = slice(start, start + block)
-            r = rs[sl, None]
-            t = terms[:, : len(r) * n].reshape(len(rows), len(r), n)
+    for i, (r, rb) in enumerate(zip(rs, rbar)):
+        pieces = [[] for _ in rows]  # which math.fsum rounds once at the end
+        for k0 in range(1, half + 1, chunk):
+            n = min(chunk, half + 1 - k0)
+            t = terms[:, :n]
             for j in range(0, n, width):
                 w = min(width, n - j)
                 k = np.arange(k0 + j, k0 + j + w, dtype=dtype)
-                prod, res = (x[: len(r) * w].reshape(len(r), w) for x in ints)
-                tile = {name: ti[:, j : j + w] for name, ti in zip(rows, t)}
-                _fill(tile, r, rbar[sl, None], k, _cot(k, b, cbuf[:w]), b, prod, res)
-            big = np.maximum(np.abs(t.max(axis=2)), np.abs(t.min(axis=2)))
-            np.maximum(biggest[:, sl], big, out=biggest[:, sl])
+                tile = dict(zip(rows, t[:, j : j + w]))
+                _fill(tile, r, rb, k, _cot(k, b, cbuf[:w]), b, ints[0, :w], ints[1, :w])
+            big = np.maximum(np.abs(t.max(1)), np.abs(t.min(1)))
+            biggest[:, i] = np.maximum(biggest[:, i], big)
             if oracle:
-                for i, ti in enumerate(t):
-                    for j in range(0, n, width):
-                        _extract(ti[:, j : j + width], pieces[i][sl])
+                for j in range(0, n, width):
+                    _extract(t[:, j : j + width], pieces)
             else:
-                for row, sums in zip(pieces, np.add.reduce(t, axis=2).tolist()):
-                    for part, s in zip(row[sl], sums):
-                        part.append(s)
-    values = [[math.fsum(part) for part in row] for row in pieces]
-    return np.array(values).reshape(len(rows), len(rs)), biggest
+                for part, s in zip(pieces, np.add.reduce(t, axis=1).tolist()):
+                    part.append(s)
+        values[:, i] = [math.fsum(part) for part in pieces]
+    return values, biggest
 
 
 def _values(f: ReducedFraction, rows, oracle: bool) -> tuple[SumValue, ...]:

@@ -236,3 +236,11 @@ class TestC1Empirical:
             asy.c1_empirical(2, 1, [4, 6, 8])
         with pytest.raises(ValueError):
             asy.c1_empirical(2, 1, [7, 5, 9])
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_nonpositive_r_is_rejected(self, r):
+        # `default_b_list`'s b += r loop would not advance, and r = 0 divides by zero
+        with pytest.raises(ValueError, match=r"r >= 1 required"):
+            asy.default_b_list(r, 1, 10)
+        with pytest.raises(ValueError, match=r"r >= 1 required"):
+            asy.c1_empirical(r, 1, [3, 5, 7])

@@ -89,6 +89,24 @@ class TestDirectSums:
         assert np.array_equal(c0v, -mirror)
 
 
+    def test_rejects_r_whose_products_overflow_int64(self):
+        b = 1_000_003
+        r_max = (2**63 - 1) // b
+        for r in (r_max + 1, -(r_max + 1), 10**13 + 7):
+            with pytest.raises(ValueError, match=f"r| <= {r_max} required"):
+                core.direct_sums([1, r], b, ("q",))
+
+    def test_r_near_the_int64_bound_keeps_the_decomposition(self):
+        # Q(r/b) = c0(1/b) - r c0(r/b) at the largest unit r that passes the bound
+        b = 1_000_003
+        r = (2**63 - 1) // b
+        while math.gcd(r, b) != 1:
+            r -= 1
+        [[q, _], [c_r, c_1]], [[q_big, _], [c_r_big, c_1_big]] = core.direct_sums([r, 1], b, ("q", "c0"))
+        scale = (b - 1) * core._EPS
+        tol = scale * (q_big + r * c_r_big + c_1_big) + 2 * core._EPS * abs(q)
+        assert abs(q - (c_1 - r * c_r)) <= tol
+
     @pytest.mark.parametrize("rows", [("c0", "c0"), ("q", "x"), ("w",)])
     def test_rejects_bad_rows(self, rows):
         with pytest.raises(ValueError, match="distinct names"):
@@ -102,7 +120,7 @@ class TestFusedSweep:
     @pytest.mark.parametrize(
         "b,rs",
         [
-            (3001, list(range(1, 3001))),  # 18 blocks of 174 residues, one chunk
+            (3001, list(range(1, 3001))),  # 3000 residues, one chunk each
             (30030, [1, 17, 4097, 15013, 30029]),  # composite
             (524309, [1, 2, 131077, 400000]),  # two chunks
             (1500007, [3, 750004]),  # three
@@ -391,10 +409,11 @@ class TestVasyunin:
 
 class TestQSum:
     def test_unit_numerator_is_exactly_zero(self):
-        for b in range(2, 1001):
-            v = q_sum(ReducedFraction(1, b))
-            assert v.value == 0.0 and math.copysign(1.0, v.value) == 1.0
-            assert math.copysign(1.0, v.err_bound) == 1.0
+        # b = 2 _TILE_K + 3 sums two tiles and 524309 two chunks of k
+        for b, oracle in itertools.product([*range(2, 1001), 2 * core._TILE_K + 3, 524309], (False, True)):
+            v = q_sum(ReducedFraction(1, b), oracle=oracle)
+            assert v.value == 0.0 and math.copysign(1.0, v.value) == 1.0, (b, oracle)
+            assert math.copysign(1.0, v.err_bound) == 1.0, (b, oracle)
 
     def test_two_thirds(self):
         assert abs(q_sum(ReducedFraction(2, 3)).value - 1.0 / SQRT3) < 1e-14
