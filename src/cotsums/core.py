@@ -8,14 +8,12 @@ reciprocity defect).  c0, Q and V come from one direct-sum kernel,
 pairs the terms at k and b - k, sweeps k < b/2 once for every requested sum
 with cot(pi k/b) computed per cache-sized tile (no cot table), is serial,
 uses no BLAS, and gives a value the same bit for bit whatever batch or set
-of sums computes it (same machine and numpy build).  A default-precision
-call whose terms fit one tile (a point value at b <= 32769, every unit of
-b <= 725 in one batch) forms and sums that tile for all its residues at
-once, so the thousands of small sums of `cotsums verify` pay little fixed
-cost per call; a larger call runs residue by residue, in chunks of 2^18
-terms per sum.  A sum ends in one math.fsum of its pieces: its chunks'
-pairwise sums, or in oracle precision the exact parts of error-free
-extraction, the routine that also sums the window moments' powers.
+of sums computes it (same machine and numpy build).  One loop serves
+every call: residues in groups of about 2^18 cells (every unit of
+b <= 725 is one group), each formed tile by tile with k and its
+cotangents computed once per tile.  A sum ends in one math.fsum of its
+pieces: its chunks' pairwise sums, or in oracle precision the exact parts
+of error-free extraction, the routine that also sums the window moments.
 `c0_q_v` is that sweep at one fraction, as `cotsums c0` prints it.
 """
 
@@ -127,7 +125,8 @@ def cot_table(b: int) -> np.ndarray:
 # power table in `equidist`) cannot overflow: every factor is below b.
 _B_MAX = math.isqrt(2**63 - 1)
 
-# Terms per sum in a chunk of k, and the cap on the one-tile path's cells.
+# Terms per sum in a chunk of k, and the cells (residues times terms) of a
+# group of residues that the direct kernel forms together.
 _CELLS = 1 << 18
 # The terms are formed in tiles of at most _TILE_K values of k, so that the
 # integer and cot temporaries stay in L2 cache; the values do not depend on them.
@@ -241,19 +240,16 @@ def direct_sums(rs, b: int, rows, *, oracle: bool = False):
     The integer weights run in int32 when every product fits,
     b * max(b, max |r|) < 2^31 (so b <= 46340 at r <= b), else in int64;
     both widths give the same integers, hence the same values.
-    A default-precision call whose terms fit one tile, (b-1)//2 <= `_TILE_K`
-    and len(rs) (b-1)//2 <= `_CELLS` (a point value at b <= 32769, every
-    unit of b <= 725), forms and sums that tile for all residues together.
-    Anything larger runs one residue at a time: k in chunks of `_CELLS`
-    whose bounds depend only on b, each chunk's terms of every row formed in
-    cache-sized tiles that compute their cotangents by the element
-    operations of `cot_table` (no table is built or read) and m_k once for
-    the c0 and q rows.  So memory is one chunk of 2^18 terms per row,
-    whatever b or len(rs).  math.fsum rounds each sum's pieces once (an
-    empty sum is +0.0): its chunks' pairwise `np.add.reduce` sums, or with
-    `oracle` the exact parts that `_extract` takes from each tile, so that
-    an oracle value is the float nearest the exact sum of its float terms.
-    Both paths give the same bits, so a value does not depend on the other
+    k runs in chunks of min((b-1)//2, `_CELLS`) whose bounds depend only on
+    b, the residues in groups of `_CELLS` // chunk, and a group's terms of
+    every row are formed in tiles of at most `_TILE_K` values of k that
+    compute k, its cotangents (the element operations of `cot_table`; no
+    table is built) and m_k once for the group.  So memory is about 2^18
+    terms per row, whatever b or len(rs).  math.fsum rounds each sum's
+    pieces once (an empty sum is +0.0): its chunks' pairwise `np.add.reduce`
+    sums, or with `oracle` the exact parts that `_extract` takes from blocks
+    of about one tile's cells, so an oracle value is the float nearest the
+    exact sum of its float terms.  A value does not depend on the other
     residues or rows.  Both results are (len(rows), len(rs)); a name may
     appear in `rows` once; |r| <= (2^63 - 1) // b, as int64 r m overflows.
     """
@@ -277,51 +273,55 @@ def _direct_sums(rs: np.ndarray, rbar, b: int, rows, oracle: bool = False):
     dtype = np.int32 if b * max(b, max(map(abs, rs.tolist()), default=0)) < 2**31 else np.int64
     rs, rbar = rs.astype(dtype), np.asarray(rbar, dtype=dtype)
     half = (b - 1) // 2
-    if not oracle and 0 < half <= _TILE_K and len(rs) * half <= _CELLS:
-        # A lone residue is a scalar against k, which spares every ufunc a broadcast.
-        if len(rs) == 1:
-            r, rb, shape = rs[0], rbar[0], (half,)
-        else:
-            r, rb, shape = rs[:, None], rbar[:, None], (len(rs), half)
-        k = np.arange(1, half + 1, dtype=dtype)
-        t = np.empty((len(rows), *shape))
-        ints = np.empty((2, *shape), dtype=dtype)
-        _fill(dict(zip(rows, t)), r, rb, k, _cot(k, b, np.empty(half)), b, ints[0], ints[1])
-        # 0.0 + the pairwise row sum: +0.0 for a zero sum, as math.fsum gives
-        total = np.add.reduce(t, axis=-1, initial=0.0)
-        biggest = np.abs(t, out=t).max(axis=-1)
-        return total.reshape(len(rows), len(rs)), biggest.reshape(len(rows), len(rs))
     chunk = max(1, min(half, _CELLS))
-    width = min(chunk, _TILE_K)
-    values, biggest = np.empty((len(rows), len(rs))), np.zeros((len(rows), len(rs)))
+    width, group = min(chunk, _TILE_K), max(1, min(len(rs), _CELLS // chunk))
+    several = oracle or chunk < half  # else a value is 0.0 + one pairwise sum, its math.fsum
+    values, biggest = np.zeros((len(rows), len(rs))), np.zeros((len(rows), len(rs)))
     # Buffers allocated once: fresh chunk-sized temporaries would page-fault.
-    terms = np.empty((len(rows), chunk))
-    ints = np.empty((2, width), dtype=dtype)
-    cbuf = np.empty(width)
-    for i, (r, rb) in enumerate(zip(rs, rbar)):
-        pieces = [[] for _ in rows]  # which math.fsum rounds once at the end
+    terms, cbuf = np.empty(len(rows) * group * chunk), np.empty(width)
+    ints = np.empty((2, group * width), dtype=dtype)
+    for g0 in range(0, len(rs), group):
+        g = min(group, len(rs) - g0)
+        if group > 1:
+            cols, lead, r, rb = slice(g0, g0 + g), (g,), rs[g0 : g0 + g, None], rbar[g0 : g0 + g, None]
+        else:  # a lone residue is a scalar against k, which spares every ufunc a broadcast
+            cols, lead, r, rb = g0, (), rs[g0], rbar[g0]
+        parts = [[] for _ in range(len(rows) * g)] if several else None  # row-major
         for k0 in range(1, half + 1, chunk):
             n = min(chunk, half + 1 - k0)
-            t = terms[:, :n]
+            t = terms[: len(rows) * g * n].reshape(len(rows), *lead, n)
             for j in range(0, n, width):
                 w = min(width, n - j)
                 k = np.arange(k0 + j, k0 + j + w, dtype=dtype)
-                tile = dict(zip(rows, t[:, j : j + w]))
-                _fill(tile, r, rb, k, _cot(k, b, cbuf[:w]), b, ints[0, :w], ints[1, :w])
-            big = np.maximum(np.abs(t.max(1)), np.abs(t.min(1)))
-            biggest[:, i] = np.maximum(biggest[:, i], big)
+                iw = ints[:, : g * w].reshape(2, *lead, w)
+                _fill(dict(zip(rows, t[..., j : j + w])), r, rb, k, _cot(k, b, cbuf[:w]), b, iw[0], iw[1])
             if oracle:
-                for j in range(0, n, width):
-                    _extract(t[:, j : j + width], pieces)
+                top = np.maximum(np.abs(t.max(-1)), np.abs(t.min(-1)))  # before _extract zeroes t
+                # blocks of about one tile's cells: `step` residues by `width` values of k
+                step, t = max(1, _TILE_K // width), t.reshape(len(rows), g, n)
+                for i in range(0, g, step):
+                    for j in range(0, n, width):
+                        block = t[:, i : i + step, j : j + width]
+                        ids = [x * g + y for x in range(len(rows)) for y in range(i, i + block.shape[1])]
+                        _extract(block.reshape(len(ids), -1), [parts[x] for x in ids])
             else:
-                for part, s in zip(pieces, np.add.reduce(t, axis=1).tolist()):
-                    part.append(s)
-        values[:, i] = [math.fsum(part) for part in pieces]
+                sums = np.add.reduce(t, axis=-1, initial=0.0)
+                top = np.abs(t, out=t).max(axis=-1)
+                if several:
+                    for part, s in zip(parts, sums.ravel().tolist()):
+                        part.append(s)
+                else:
+                    values[:, cols] = sums
+            biggest[:, cols] = top if k0 == 1 else np.maximum(biggest[:, cols], top)
+        if several:
+            values[:, cols] = np.reshape([math.fsum(part) for part in parts], (len(rows), *lead))
     return values, biggest
 
 
 def _values(f: ReducedFraction, rows, oracle: bool) -> tuple[SumValue, ...]:
-    values, biggest = direct_sums([f.r], f.b, rows, oracle=oracle)
+    # `direct_sums` at f.r, whose range and inverse f vouches for
+    _check_modulus(f.b)
+    values, biggest = _direct_sums(np.array([f.r]), [pow(f.r, -1, f.b)], f.b, rows, oracle)
     scale = (f.b - 1) * _EPS
     return tuple(
         SumValue(v, err_bound=scale * m, terms=f.b - 1)

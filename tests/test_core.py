@@ -120,7 +120,7 @@ class TestFusedSweep:
     @pytest.mark.parametrize(
         "b,rs",
         [
-            (3001, list(range(1, 3001))),  # 3000 residues, one chunk each
+            (3001, list(range(1, 3001))),  # 3000 residues in groups of 174
             (30030, [1, 17, 4097, 15013, 30029]),  # composite
             (524309, [1, 2, 131077, 400000]),  # two chunks
             (1500007, [3, 750004]),  # three
@@ -154,18 +154,19 @@ class TestFusedSweep:
     @pytest.mark.parametrize(
         "b,n",
         [
-            # half = (b-1)//2 = _TILE_K: one tile at one residue and at
-            # _CELLS // half residues, the chunk loop one residue above that
+            # half = (b-1)//2 = _TILE_K: one tile at one residue, one group of
+            # _CELLS // half residues, and a lone residue in a second group
             *((2 * core._TILE_K + 1, n) for n in (1, core._CELLS // core._TILE_K, core._CELLS // core._TILE_K + 1)),
-            # half = _TILE_K + 1: two tiles of one chunk
-            *((2 * core._TILE_K + 3, n) for n in (1, 2)),
-            # half = 1024: len(rs) * half = _CELLS, and just above it
+            # half = _TILE_K + 1: two tiles of one chunk, for groups of 1, 2 and
+            # 15 + 2 residues (the oracle extracts non-contiguous blocks)
+            *((2 * core._TILE_K + 3, n) for n in (1, 2, 17)),
+            # half = 1024: one group of len(rs) * half = _CELLS, and a second group
             (2049, core._CELLS // 1024),
             (2049, core._CELLS // 1024 + 1),
         ],
     )
     def test_one_tile_edges_equal_scalar_sums(self, b, n, oracle):
-        # r = 1 makes Q(1/b) = +0.0, whose sign must survive either path
+        # r = 1 makes Q(1/b) = +0.0, whose sign must survive in a group
         rs = [r for r in range(1, b) if math.gcd(r, b) == 1][:n]
         values, biggest = core.direct_sums(rs, b, core._ROWS, oracle=oracle)
         for i in sorted({0, 1, n // 2, n - 1} & set(range(n))):
@@ -175,6 +176,16 @@ class TestFusedSweep:
                 assert np.float64(got.value).tobytes() == values[row, i].tobytes(), (rs[i], row)
                 assert got.err_bound == (b - 1) * core._EPS * biggest[row, i], (rs[i], row)
         assert np.float64(q_sum(ReducedFraction(1, b), oracle=oracle).value).tobytes() == bytes(8)
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_cotangents_once_per_tile_per_group(self, monkeypatch, oracle):
+        # every unit of 3001 is one tile of half = 1500; a group of
+        # _CELLS // half = 174 residues shares that tile's k and cotangents
+        b, calls = 3001, []
+        cot = core._cot
+        monkeypatch.setattr(core, "_cot", lambda *args: calls.append(args[0][0]) or cot(*args))
+        core.direct_sums(range(1, b), b, core._ROWS, oracle=oracle)
+        assert 0 < len(calls) <= math.ceil((b - 1) / (core._CELLS // ((b - 1) // 2))) == 18
 
     @pytest.mark.parametrize("oracle", [False, True])
     def test_int64_batch_equals_int32_batch(self, oracle):
