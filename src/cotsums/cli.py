@@ -433,7 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument(
         "--threads",
         type=int,
-        help="ignored by window scans, rejected by --figure: every kernel is serial",
+        help="ignored by window scans, rejected by --figure: the dense series evaluator "
+        "claims point slabs on every CPU in the affinity mask, every other kernel is "
+        "serial, and no value depends on the CPU count",
     )
     p_scan.add_argument("--deterministic", action="store_true")
     p_scan.add_argument("--format", choices=("csv", "json"), default=None)
@@ -449,10 +451,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser of `main`, built at its first call rather than at import.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     if args.command == "verify":

@@ -7,11 +7,17 @@ The series defines a.e. the limit profile of the normalized cotangent sums,
 so this module also carries its Fourier-coefficient form, the
 continued-fraction convergence criterion, even-moment tables H_k / D_{2k},
 and the empirical distribution function used as the scan reference.
+
+The dense evaluator `_f_points` claims slabs of points on every CPU in the
+process's affinity mask; every other kernel here is serial, and no value
+depends on the CPU count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -49,6 +55,9 @@ FOURIER_CONSTANT = 2.0 / math.pi
 # binned kernel or of the Fourier fold, a slice of the weights.
 _BLOCK = 1 << 16
 
+# Tiles of `_f_points` per slab, the unit of work its threads claim.
+_SLAB_TILES = 8
+
 
 @dataclass(frozen=True)
 class TruncatedGSeries:
@@ -70,6 +79,19 @@ def f_eval(alpha: float, t: TruncatedGSeries) -> float:
     return float(_f_points(np.array([alpha]), t.m1)[0])
 
 
+def _cpus() -> int:
+    # CPUs this process may run on: its affinity mask where the OS has one
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _check_prefix(prefix: int | None, m1: int) -> None:
+    if prefix is not None and not 1 <= prefix <= m1:
+        raise ValueError(f"prefix must lie in 1..{m1}, got {prefix}")
+
+
 def _f_points(alphas: np.ndarray, m1: int, prefix: int | None = None):
     """f(alpha_i; m1) at a batch of points: the one evaluator of the series.
 
@@ -83,7 +105,17 @@ def _f_points(alphas: np.ndarray, m1: int, prefix: int | None = None):
     any BLAS thread count.  B(1 - u) = -B(u) holds exactly at dyadic u and the
     dot is odd in its weights, so f(1 - x) = -f(x) stays exact there.
 
-    With `prefix` <= m1 the same sweep also yields f(alpha_i; prefix), its
+    The points run in slabs of `_SLAB_TILES` tiles, whose bounds depend only
+    on the number of points and on m1.  The calling thread and one thread for
+    each further CPU in the affinity mask (`_cpus`) claim slabs in order from
+    one shared iterator, each with its own buffers, and sweep every chunk of
+    a slab before claiming the next.  A point's row dots are the same and are
+    added in the same order on any thread, so no value depends on the CPU
+    count.  One slab, or one CPU, starts no thread.  The threads are joined
+    before the call returns, and the first error raised in any of them is
+    raised again then.
+
+    With `prefix` in 1..m1 the same sweep also yields f(alpha_i; prefix), its
     partial sum at l = 2^prefix, and the result is the pair of both.  That
     sum is a `vecdot` over the first 2^prefix columns of the first chunk
     when it is narrower than a chunk, else `out` after the chunk that ends
@@ -92,32 +124,80 @@ def _f_points(alphas: np.ndarray, m1: int, prefix: int | None = None):
     for bit.
     """
     terms = TruncatedGSeries(m1).terms
+    _check_prefix(prefix, m1)
     alphas = np.asarray(alphas, dtype=float)
     n = len(alphas)
-    out = np.zeros(n)
     width = min(terms, 1 << 12)
     height = max(1, min(n, (1 << 16) // width))
     part = 0 if prefix is None else 1 << prefix
-    head = np.zeros(n) if 0 < part < width else None
-    u, w = np.empty((2, height, width))
-    for lo in range(1, terms + 1, width):
-        l = np.arange(lo, lo + width, dtype=float)
-        inv = 1.0 / l
-        for p in range(0, n, height):
-            a = alphas[p : p + height, None]
-            ut, wt = u[: len(a)], w[: len(a)]
-            np.multiply(a, l, out=ut)
-            np.floor(ut, out=wt)
-            np.subtract(ut, wt, out=ut)
-            np.ceil(ut, out=wt)
-            np.add(ut, ut, out=ut)
-            np.subtract(wt, ut, out=wt)
-            out[p : p + len(a)] += np.vecdot(wt, inv)
-            if lo == 1 and head is not None:
-                head[p : p + len(a)] += np.vecdot(wt[:, :part], inv[:part])
-        if lo + width - 1 == part:
-            head = out.copy()
+    out, head = np.zeros(n), None if prefix is None else np.zeros(n)
+    slabs = range(0, n, _SLAB_TILES * height)
+    if len(slabs) < 2:
+        _f_slabs(slabs, alphas, terms, height, part, out, head)
+    else:
+        _spread(_f_slabs, slabs, alphas, terms, height, part, out, head)
     return out if prefix is None else (out, head)
+
+
+def _f_slabs(starts, alphas, terms, height, part, out, head):
+    # `_f_points`' sweep of the slabs that begin at `starts`, each slab through
+    # every chunk, with this thread's own two tile buffers
+    n, width, slab = len(alphas), min(terms, 1 << 12), _SLAB_TILES * height
+    u, w = np.empty((height, width)), np.empty((height, width))
+    for s in starts:
+        end = min(s + slab, n)
+        for lo in range(1, terms + 1, width):
+            l = np.arange(lo, lo + width, dtype=float)
+            inv = 1.0 / l
+            for p in range(s, end, height):
+                a = alphas[p : p + height, None]
+                ut, wt = (u, w) if len(a) == height else (u[: len(a)], w[: len(a)])
+                np.multiply(a, l, out=ut)
+                np.floor(ut, out=wt)
+                np.subtract(ut, wt, out=ut)
+                np.ceil(ut, out=wt)
+                np.add(ut, ut, out=ut)
+                np.subtract(wt, ut, out=wt)
+                acc = out[p : p + len(a)]  # a view: += on it skips a copy back
+                acc += np.vecdot(wt, inv)
+                if lo == 1 and 0 < part < width:
+                    acc = head[p : p + len(a)]
+                    acc += np.vecdot(wt[:, :part], inv[:part])
+            if lo + width - 1 == part:
+                head[s:end] = out[s:end]
+
+
+def _spread(sweep, slabs: range, *args) -> None:
+    # sweep(starts, *args) on the calling thread and on one more thread per
+    # further CPU, every thread claiming slab starts in order from one shared
+    # iterator; all threads are joined before the first error of any is raised again
+    threads = min(len(slabs), _cpus())
+    if threads == 1:
+        return sweep(slabs, *args)
+    todo, lock, errors = iter(slabs), threading.Lock(), []
+
+    def claim():
+        while not errors:
+            with lock:
+                s = next(todo, None)
+            if s is None:
+                return
+            yield s
+
+    def work():
+        try:
+            sweep(claim(), *args)
+        except BaseException as exc:  # raised again on the calling thread after the join
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for t in helpers:
+        t.start()
+    work()
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[0]
 
 
 def _mod(x: np.ndarray, n: int) -> np.ndarray:
@@ -152,12 +232,13 @@ def _f_offset_grid(n: int, c: float, m1: int, prefix: int | None = None):
     1.1-1.6x at L = 2.7n-3.4n and 1.8-2.2x at L = 4n).  No l*alpha_j may be an
     integer (offsets away from rationals); tests pin agreement with
     `_f_points`.
-    With `prefix` <= m1 it returns the pair (f(.; m1), f(.; prefix)) on the
+    With `prefix` in 1..m1 it returns the pair (f(.; m1), f(.; prefix)) on the
     grid, from one `_f_points` sweep on the dense route and from two calls,
     one after the other, on the binned route.
     """
     if n < 1:
         raise ValueError("grid size must be positive")
+    _check_prefix(prefix, m1)
     big_l = 1 << m1
     if big_l <= 4 * n:
         return _f_points(((np.arange(n) + c) / n) % 1.0, m1, prefix)

@@ -453,3 +453,21 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert "unrecognized arguments: " + " ".join(argv[2:]) in captured.err
         assert captured.out == ""
+
+
+def test_main_builds_one_parser(monkeypatch, capsys):
+    # the parser is built at the first `main` call, and a usage fault after a
+    # good call still exits 2
+    built, build = [], cli.build_parser
+
+    def spy():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert run(["c0", "--r", "1", "--b", "3"]) == 0
+    assert run(["c0", "--r", "x", "--b", "3"]) == 2
+    assert run(["c0", "--r", "2", "--b", "5"]) == 0
+    assert len(built) == 1
+    assert "invalid int value" in capsys.readouterr().err

@@ -2,6 +2,8 @@ import hashlib
 import math
 import subprocess
 import sys
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -233,6 +235,121 @@ class TestSeriesKernel:
                         total += (den - 2 * r) * (lcm // l)
                 exact = Fraction(total, den * lcm)
                 assert abs(Fraction(f_eval(x, TruncatedGSeries(m1))) - exact) <= 1e-13
+
+    @pytest.mark.parametrize("prefix", [0, -1, 11, 12])
+    def test_prefix_outside_one_to_m1_is_rejected(self, prefix):
+        # 11 and 12 lie past m1 = 10, and 0 names the row of m1 = 0, which
+        # TruncatedGSeries rejects; the grid checks on both of its routes
+        with pytest.raises(ValueError, match="prefix"):
+            gseries._f_points(np.array([0.3]), 10, prefix=prefix)
+        with pytest.raises(ValueError, match="prefix"):
+            gseries._f_offset_grid(1001, 0.37, 10, prefix=prefix)  # dense: L <= 4n
+        with pytest.raises(ValueError, match="prefix"):
+            gseries._f_offset_grid(101, 0.37, 10, prefix=prefix)  # binned: L > 4n
+
+
+def _golden_points(n):
+    return (np.arange(1, n + 1, dtype=float) * gseries._GOLDEN) % 1.0
+
+
+def _under_cpus(monkeypatch, cpus, fn):
+    monkeypatch.setattr(gseries, "_cpus", lambda: cpus)
+    return fn()
+
+
+# m1 -> (a prefix inside the first chunk, a prefix where a chunk ends): the
+# chunk is 64 terms wide at m1 = 6 and 4096 wide at m1 >= 12
+_PREFIXES = {6: (3, 6), 12: (6, 12), 13: (6, 12), 14: (6, 13), 16: (6, 14)}
+_SLAB_CASES = [
+    (n, m1, prefix)
+    for n in (1, 15, 16, 17, 300)
+    for m1, inside_and_edge in _PREFIXES.items()
+    for prefix in (None, *inside_and_edge)
+] + [(10_001, 6, None), (10_001, 6, 3), (10_001, 6, 6), (10_001, 12, 6), (10_001, 14, 13)]
+
+
+class TestSlabThreads:
+    # `_f_points` claims slabs of `_SLAB_TILES` tiles on one thread per CPU
+    @pytest.mark.parametrize("n, m1, prefix", _SLAB_CASES)
+    def test_bytes_equal_across_cpu_counts(self, monkeypatch, n, m1, prefix):
+        # 16 points are one tile at m1 >= 12, 17 two; 10 001 points are two
+        # slabs at m1 = 6 and 79 at m1 = 12 and 14
+        alphas = _golden_points(n)
+
+        def rows():
+            result = gseries._f_points(alphas, m1, prefix)
+            return b"".join(row.tobytes() for row in (result if prefix else (result,)))
+
+        out = [_under_cpus(monkeypatch, cpus, rows) for cpus in (1, 2, 3, 7)]
+        assert out[1:] == out[:1] * 3
+
+    def test_distribution_and_dense_table_equal_across_cpu_counts(self, monkeypatch):
+        # 2000 points at m1 = 10 are four slabs; the table's three grids
+        # (2001, 1001 and the m1 - 2 prefix row) take the dense route
+        def both():
+            cdf = empirical_F(TruncatedGSeries(10), 2000)
+            tbl = hk_table(4, TruncatedGSeries(12), 2001)
+            fields = [tbl.hk, tbl.d2k, tbl.errors, tbl.odd]
+            return cdf.values.tobytes() + np.array([v for d in fields for v in d.values()]).tobytes()
+
+        out = [_under_cpus(monkeypatch, cpus, both) for cpus in (1, 2, 3, 7)]
+        assert out[1:] == out[:1] * 3
+
+    def test_threads_start_only_for_several_slabs(self, monkeypatch):
+        started = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Spy)
+        monkeypatch.setattr(gseries, "_cpus", lambda: 7)
+        one_slab = gseries._SLAB_TILES * 16  # tiles of 16 rows at m1 = 14
+        counts = []
+        for call in (
+            lambda: f_eval(0.3, TruncatedGSeries(14)),
+            lambda: gseries._f_points(_golden_points(one_slab), 14),
+            lambda: gseries._f_points(_golden_points(one_slab + 1), 14),
+            lambda: gseries._f_points(_golden_points(3 * one_slab), 14),
+        ):
+            before = len(started)
+            call()
+            counts.append(len(started) - before)
+        # two slabs start one helper, three start two: one thread per slab at most
+        assert counts == [0, 0, 1, 2]
+        assert not any(t.is_alive() for t in started)
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_error_in_a_slab_reaches_the_caller(self, monkeypatch, failing):
+        caller, vecdot = threading.current_thread(), np.vecdot
+
+        def flaky(x, y):
+            if (threading.current_thread() is caller) == (failing == "caller"):
+                raise RuntimeError("slab failed")
+            time.sleep(1e-4)  # lets the other threads claim slabs
+            return vecdot(x, y)
+
+        monkeypatch.setattr(gseries, "_cpus", lambda: 3)
+        monkeypatch.setattr(np, "vecdot", flaky)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="slab failed"):
+            gseries._f_points(_golden_points(3000), 12)
+        assert threading.active_count() == before
+
+    def test_more_threads_than_cpus_lose_no_slab(self, monkeypatch):
+        # seven threads on a short switch interval: a slab swept twice or
+        # skipped would change its points' values
+        alphas = _golden_points(3000)  # 24 slabs of 128 points at m1 = 12
+        serial = _under_cpus(monkeypatch, 1, lambda: gseries._f_points(alphas, 12))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                spread = _under_cpus(monkeypatch, 7, lambda: gseries._f_points(alphas, 12))
+                assert spread.tobytes() == serial.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
 
 
 _BLAS_PROBE = """
