@@ -9,6 +9,10 @@ with E_l = (B_{2j}/j) zeta(2j) / pi for odd l = 2j-1 and E_l = 0 for even l.
 The constant term is +1/pi and the E_l above are the coefficients the data
 actually follows (fitting residuals at the 1e-19 level).
 
+`reciprocity_values` gives c0, Q and V at one r/b in O(log b) levels of the
+reciprocity c0(h/k) + (k/h) c0(k/h) - 1/(pi h) = psi0(h/k); below h/k = 1/5,
+psi0 is this expansion at b = k/h less 1/pi.
+
 Also here: Bernoulli numbers, a real-argument zeta, the partial sums S(L;b)
 and G_L(b) converging to pi*c0(1/b), and the closed-form C1 with its
 empirical cross-check.  The closed form rests on one kernel,
@@ -27,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ReducedFraction, c0
+from .core import _EPS, ReducedFraction, SumValue, _check_modulus, c0
 
 __all__ = [
     "AsymptoticExpansion",
@@ -37,6 +41,7 @@ __all__ = [
     "s_sum",
     "g_partial",
     "c0_asymptotic",
+    "reciprocity_values",
     "gstar",
     "gstar_integral",
     "p1_integral",
@@ -119,6 +124,7 @@ def g_partial(L: int, b: int) -> float:
     return total
 
 
+@lru_cache(maxsize=None)
 def _true_coeff(l: int) -> float:
     # E_l of the fitted expansion: (B_{2j}/j) zeta(2j)/pi at odd l = 2j-1, else 0.
     if l % 2 == 0:
@@ -161,6 +167,114 @@ def c0_asymptotic(b: int, n: int) -> tuple[float, float]:
         value += e * float(b) ** (-l)
     last = abs(exp.coeffs_E[-1]) * float(b) ** (-n) if n >= 1 else 0.0
     return value, last
+
+
+# psi0 of the reciprocity c0(h/k) + (k/h) c0(k/h) - 1/(pi h) = psi0(h/k)
+# (Bettin and Conrey, Algebra & Number Theory 7, 2013), analytic on (0, inf).
+# Below z = 1/5 it is the expansion of c0(1/b) - 1/pi at b = 1/z,
+#     psi0(z) = (gamma - ln 2 pi z)/(pi z) + sum_{l<=20} E_l z^l,
+# with the E_l of `_true_coeff` (0 at even l).  Its error stays below the
+# first omitted term |E_21| z^21 (at 1/5 that term is 3.8e-13 and the error
+# 2.5e-13), and its bound takes twice the term.
+_PSI0_E = (  # E_1, E_3, ..., E_19
+    0.08726646259971647, -0.005741903088944411, 0.0025700821767471356,
+    -0.002663397908092409, 0.0048276737769625405, -0.013431395519834965,
+    0.05305489701178171, -0.28219226794178526, 1.9442151321685524,
+    -16.842563805465602,
+)
+_PSI0_E21 = 179.18313612061326  # |E_21|
+_GAMMA_LOG2PI = GAMMA - _LOG2PI
+# On [1/5, 1/2] it is sum_j c_j T_j(t), t = (20 z - 7)/3: the degree-24
+# least-squares fit to the 2343 oracle values of D(h/k) =
+# `core.reciprocity_defect` with k <= 160 and 1/5 <= h/k <= 1/2, which
+# tests/test_asymptotics.py repeats.  Against 200-bit values of D at the 3364
+# held-out h/k with 160 < k <= 250 it is off by at most 2.6e-15; the 1e-13 of
+# _PSI0_FIT_ERR is 39 times that, and above the 7.7e-14 by which the oracle
+# values of D themselves stray there.
+_PSI0_CHEB = (
+    -0.02747305719394053, -0.40279121532492174, 0.1436506702381295,
+    -0.03991733072367466, 0.010266498366094223, -0.002542355561127119,
+    0.0006157832449683524, -0.00014702145961036122, 3.475351601603329e-05,
+    -8.155481961799862e-06, 1.9032533944875214e-06, -4.422456945432068e-07,
+    1.0240579517434492e-07, -2.3645842021382355e-08, 5.447065289223809e-09,
+    -1.2523016446351725e-09, 2.874220497100762e-10, -6.587160656128537e-11,
+    1.507742838215392e-11, -3.4474154050285635e-12, 7.871862808193895e-13,
+    -1.79216493576313e-13, 4.0816095153611475e-14, -9.156421495125488e-15,
+    2.14701173634997e-15,
+)
+# the fit's error plus Clenshaw's rounding, 4 (n + 1) eps sum |c_j|, and that
+# of t, eps max |d psi0 / dt|
+_PSI0_FIT_ERR = 1e-13 + 4 * len(_PSI0_CHEB) * _EPS * sum(map(abs, _PSI0_CHEB)) + 2 * _EPS
+
+
+def _psi0(h: int, k: int) -> tuple[float, float]:
+    """psi0(h/k) for integers 0 < h <= k/2, and a bound on its error."""
+    if 5 * h < k:
+        z, x = h / k, k / h
+        w, s = z * z, 0.0
+        for e in reversed(_PSI0_E):
+            s = s * w + e
+        s *= z
+        log = math.log(x)
+        scale = x / math.pi
+        value = (_GAMMA_LOG2PI + log) * scale + s
+        # truncation, then the rounding of the main term, of s and of the sum
+        err = 2.0 * _PSI0_E21 * z**21 + _EPS * (4.0 * scale * (2.0 + log) + 16.0 * z + abs(value))
+        return value, err
+    t = (20 * h - 7 * k) / (3 * k)
+    b1 = b2 = 0.0
+    for c in reversed(_PSI0_CHEB[1:]):
+        b1, b2 = 2.0 * t * b1 - b2 + c, b1
+    return _PSI0_CHEB[0] + t * b1 - b2, _PSI0_FIT_ERR
+
+
+def _c0_reciprocity(r: int, b: int) -> tuple[float, float, int]:
+    """c0(r/b), a bound on its error and the number of levels, by reciprocity.
+
+    Each level reflects h/k into (0, 1/2] (c0(1 - x) = -c0(x)), adds
+    +-(b/k) (psi0(h/k) + 1/(pi h)) and moves to (k mod h)/h; h = 1 ends it,
+    as c0(1/k) = psi0(1/k) + 1/pi.  The multiplier b/k telescopes from the
+    factors k/h, so it is one division.  Each level's bound is b/k times
+    psi0's bound plus the rounding of its term, and each sum adds eps |acc|.
+    """
+    h, k, sign = r, b, 1.0
+    acc = err = 0.0
+    levels = 0
+    while True:
+        if 2 * h > k:
+            h, sign = k - h, -sign
+        psi, dpsi = _psi0(h, k)
+        inv = 1.0 / (math.pi * h)
+        v = psi + inv
+        q = b / k
+        term = q * v
+        acc += sign * term
+        err += q * (dpsi + 2.0 * _EPS * (inv + abs(v))) + 2.0 * _EPS * abs(term) + _EPS * abs(acc)
+        levels += 1
+        if h == 1:
+            return acc, err, levels
+        h, k, sign = k % h, h, -sign
+
+
+def reciprocity_values(f: ReducedFraction) -> tuple[SumValue, SumValue, SumValue]:
+    """(c0, Q, V) at r/b in O(log b) steps by the reciprocity of psi0.
+
+    c0(r/b) and V(r/b) = -c0(rbar/b) are Euclid chains of `_psi0`, and
+    Q(r/b) = c0(1/b) - r c0(r/b), exactly +0.0 with bound 0 at r = 1.  Each
+    err_bound bounds the error against the exact sum; `terms` counts the
+    levels of the chains behind the value.  c0((b - r)/b) = -c0(r/b) and
+    V(r/b) = -c0(rbar/b) hold bit for bit.  The domain is that of the direct
+    kernel, b <= 3037000499.
+    """
+    r, b = f.r, f.b
+    _check_modulus(b)
+    c, dc, nc = _c0_reciprocity(r, b)
+    one, done, n1 = _c0_reciprocity(1, b)
+    v, dv, nv = _c0_reciprocity(f.inverse, b)
+    qv = one - r * c  # +0.0 at r = 1, where both chains are the same
+    dq = 0.0 if r == 1 else done + r * dc + _EPS * (r * abs(c) + abs(qv))
+    return (SumValue(c, err_bound=dc, terms=nc), SumValue(qv, err_bound=dq, terms=n1 + nc),
+            SumValue(-v, err_bound=dv, terms=nv))
 
 
 _STIRLING_COEFFS = tuple(bernoulli(2 * k) / (2 * k) for k in range(1, 9))

@@ -83,7 +83,11 @@ def report_to_dict(rep: equidist.ScanReport) -> dict:
 
 def cmd_c0(args: argparse.Namespace) -> int:
     frac = core.ReducedFraction(args.r, args.b)
-    val, qv, vv = core.c0_q_v(frac, oracle=args.precision == "oracle")
+    if args.precision == "default" and (frac.b - 1) // 2 > core._TILE_K:
+        # past one tile of the direct kernel, O(log b) levels of reciprocity
+        val, qv, vv = asymptotics.reciprocity_values(frac)
+    else:
+        val, qv, vv = core.c0_q_v(frac, oracle=args.precision == "oracle")
     re, im = core.estermann_at_zero(frac, val)
     label = f"{frac.r}/{frac.b}"
     print(f"c0({label}) = {_g17(val.value)} (err_bound {val.err_bound:.3g})")
@@ -422,7 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_c0 = sub.add_parser("c0", help="print c0, Q, V, and the Estermann pair for r/b")
     p_c0.add_argument("--r", type=int, required=True)
     p_c0.add_argument("--b", type=int, required=True)
-    p_c0.add_argument("--precision", choices=("default", "oracle"), default="default")
+    p_c0.add_argument(
+        "--precision",
+        choices=("default", "oracle"),
+        default="default",
+        help="default: the direct sum while (b-1)/2 <= 2^14 (b <= 32769), else O(log b) "
+        "levels of the reciprocity of c0 with a far smaller err_bound; oracle: the direct "
+        "sum's float terms, their exact sum rounded once, at every b",
+    )
 
     p_scan = sub.add_parser("scan", help="figure data or window moment scan")
     p_scan.add_argument("--b", type=int, required=True)

@@ -14,7 +14,9 @@ b <= 725 is one group), each formed tile by tile with k and its
 cotangents computed once per tile.  A sum ends in one math.fsum of its
 pieces: its chunks' pairwise sums, or in oracle precision the exact parts
 of error-free extraction, the routine that also sums the window moments.
-`c0_q_v` is that sweep at one fraction, as `cotsums c0` prints it.
+`c0_q_v` is that sweep at one fraction: `cotsums c0` prints it in oracle
+precision, and in default precision while (b - 1)//2 <= `_TILE_K`; past
+that it prints `asymptotics.reciprocity_values`.
 """
 
 from __future__ import annotations
@@ -65,7 +67,11 @@ class ReducedFraction:
 
 @dataclass(frozen=True)
 class SumValue:
-    """A direct-sum value with a rounding-error estimate and its term count."""
+    """A value of a sum, a bound on its error and a count of its terms.
+
+    `terms` is b - 1 for the direct sums of this module, and the number of
+    reciprocity levels behind a value of `asymptotics.reciprocity_values`.
+    """
 
     value: float
     err_bound: float
@@ -334,6 +340,8 @@ def c0_q_v(f: ReducedFraction, oracle: bool = False) -> tuple[SumValue, SumValue
 
     Each value, err_bound included, equals that of `c0`, `q_sum` or
     `vasyunin` bit for bit; the sweep computes each cotangent and m_k once.
+    `cotsums c0` prints it with --precision oracle, and by default while
+    the (b - 1)//2 paired terms fit one tile of `_TILE_K`.
     """
     return _values(f, _ROWS, oracle)
 

@@ -2,6 +2,7 @@ import functools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -25,6 +26,54 @@ def mp_cot(p):
         half = [mpmath.cospi(mpmath.mpf(k) / p) / mpmath.sinpi(mpmath.mpf(k) / p)
                 for k in range(1, p // 2 + 1)]
     return [mpmath.mpf(0)] + half + [-x for x in reversed(half[: (p - 1) // 2])]
+
+
+# The exact c0, Q and V from cot(pi k / b) in 200-bit fixed point.
+_FIXED_BITS = 200
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_cots(b):
+    # floor(cot(pi k / b) 2^200) for k = 1..(b-1)//2 as a (16-bit limbs, k) array.
+    # cos and sin of k pi / b follow x_(k+1) = 2 cos(pi/b) x_k - x_(k-1) from
+    # mpmath's values at k = 1; each step truncates by under 2^-200, the
+    # recurrence grows those errors at most like k^2, so a cot is off by under
+    # b^3 2^-200 (6e-43 at b = 10^6), and the sums by under b times that
+    p, n = _FIXED_BITS, (b - 1) // 2
+    with mpmath.workprec(p + 64):
+        c = int(mpmath.nint(mpmath.cospi(mpmath.mpf(1) / b) * 2**p))
+        s = int(mpmath.nint(mpmath.sinpi(mpmath.mpf(1) / b) * 2**p))
+    width = (p + b.bit_length()) // 64 * 8 + 8  # bytes of each cot, with its sign bit free
+    buf, c2 = bytearray(), 2 * c
+    c_prev, s_prev = 1 << p, 0
+    for _ in range(n):
+        buf += ((c << p) // s).to_bytes(width, "little")
+        c_prev, c = c, ((c2 * c) >> p) - c_prev
+        s_prev, s = s, ((c2 * s) >> p) - s_prev
+    return np.frombuffer(bytes(buf), dtype="<u2").reshape(n, width // 2).T.copy()
+
+
+def _fixed_dot(w, b):
+    # sum_k w_k floor(cot(pi k/b) 2^200) exactly: |w_k| < 2^31, so every int64
+    # limb dot over a block of 2^16 values of k stays below 2^63
+    limbs, total = _fixed_cots(b), 0
+    for j in range(0, len(w), 1 << 16):
+        dots = limbs[:, j : j + (1 << 16)].astype(np.int64) @ w[j : j + (1 << 16)]
+        total += sum(int(x) << (16 * i) for i, x in enumerate(dots.tolist()))
+    return total
+
+
+def exact_sums(r, b, rows=("c0", "q", "v")):
+    """The sums `rows` at r/b as Fractions, exact to far below float rounding.
+
+    They are the paired sums of `core.direct_sums` with exact cotangents:
+    c0 = sum_k ((b - 2 m_k)/b) cot(pi k/b), m_k = k rbar mod b, and likewise
+    Q and V, over k < b/2.  Needs b < 2^31.
+    """
+    k = np.arange(1, (b - 1) // 2 + 1, dtype=np.int64)
+    m = k * pow(r, -1, b) % b
+    weights = {"c0": (b - 2 * m, b), "q": (2 * (m * r // b) - r + 1, 1), "v": (2 * (k * r % b) - b, b)}
+    return tuple(Fraction(_fixed_dot(weights[row][0], b), weights[row][1] << _FIXED_BITS) for row in rows)
 
 
 @pytest.fixture(scope="session")

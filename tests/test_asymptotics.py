@@ -1,12 +1,14 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from cotsums import asymptotics as asy
+from cotsums import asymptotics as asy, core
 from cotsums.core import ReducedFraction, c0
+from conftest import exact_sums
 
 GAMMA = 0.5772156649015328606
 
@@ -244,3 +246,121 @@ class TestC1Empirical:
             asy.default_b_list(r, 1, 10)
         with pytest.raises(ValueError, match=r"r >= 1 required"):
             asy.c1_empirical(r, 1, [3, 5, 7])
+
+
+def _units(b, count, seed):
+    # 1, 2, b - 1 and `count` - 3 random units of b
+    rng = random.Random(seed)
+    units = {1, 2, b - 1}
+    while len(units) < count:
+        r = rng.randrange(3, b - 1)
+        if math.gcd(r, b) == 1:
+            units.add(r)
+    return sorted(units)
+
+
+def _fit_region(ks):
+    # the h/k in lowest terms with k in ks and 1/5 <= h/k <= 1/2
+    return [(h, k) for k in ks for h in range(-(-k // 5), k // 2 + 1) if math.gcd(h, k) == 1]
+
+
+def _oracle_c0(kmax):
+    # c0(h/k) in oracle precision at every unit h of each k <= kmax, one
+    # `direct_sums` call per k
+    table = {}
+    for k in range(2, kmax + 1):
+        units = [h for h in range(1, k) if math.gcd(h, k) == 1]
+        [values], _ = core.direct_sums(units, k, ("c0",), oracle=True)
+        table[k] = dict(zip(units, values.tolist()))
+    return table
+
+
+def _oracle_defect(table, h, k):
+    # `core.reciprocity_defect` from oracle c0 values; c0(0/1) = 0 at h = 1
+    inner = table[h][k % h] if h > 1 else 0.0
+    return table[k][h] + (k / h) * inner - 1.0 / (math.pi * h)
+
+
+def _exact_psi0_error(value, h, k):
+    # |value - psi0(h/k)|, psi0 from 200-bit sums and a 60-digit 1/(pi h)
+    outer = exact_sums(h, k, ("c0",))[0]
+    inner = exact_sums(k % h, h, ("c0",))[0] if h > 1 else 0
+    d = Fraction(value) - outer - Fraction(k, h) * inner
+    with mpmath.workdps(60):
+        return float(abs(mpmath.mpf(d.numerator) / d.denominator + 1 / (mpmath.pi * h)))
+
+
+class TestPsi0:
+    """psi0, the period function behind `reciprocity_values`."""
+
+    def test_expansion_coefficients_are_those_of_c0_asymptotic(self):
+        assert asy._PSI0_E == tuple(asy._true_coeff(l) for l in range(1, 20, 2))
+        assert all(asy._true_coeff(l) == 0.0 for l in range(2, 21, 2))
+        assert asy._PSI0_E21 == abs(asy._true_coeff(21))
+
+    def test_refit_reproduces_the_checked_in_coefficients(self):
+        # the fit of `_PSI0_CHEB`, from the oracle values of D it names
+        table = _oracle_c0(160)
+        points = _fit_region(range(2, 161))
+        assert len(points) == 2343
+        t = [(20 * h - 7 * k) / (3 * k) for h, k in points]
+        y = [_oracle_defect(table, h, k) for h, k in points]
+        coeffs = np.polynomial.chebyshev.chebfit(t, y, 24)
+        # a tenth of the fit's bound, whatever rounding another LAPACK build makes
+        assert np.sum(np.abs(coeffs - np.array(asy._PSI0_CHEB))) <= 1e-14
+
+    def test_matches_oracle_defect_outside_the_fit_set(self):
+        table = _oracle_c0(250)
+        points = _fit_region(range(161, 251))
+        assert len(points) >= 500
+        for h, k in points:
+            value, err = asy._psi0(h, k)
+            assert abs(value - _oracle_defect(table, h, k)) <= err, (h, k)
+
+    def test_held_out_error_is_a_tenth_of_the_fit_bound(self):
+        worst = max(_exact_psi0_error(asy._psi0(h, k)[0], h, k) for h, k in _fit_region(range(161, 251)))
+        assert worst <= asy._PSI0_FIT_ERR / 10
+
+    def test_expansion_within_its_bound(self):
+        # every h/k < 1/5 with k <= 160, the seam's neighbours included
+        points = [(h, k) for k in range(6, 161) for h in range(1, -(-k // 5)) if math.gcd(h, k) == 1]
+        assert len(points) >= 1000
+        for h, k in points:
+            value, err = asy._psi0(h, k)
+            assert _exact_psi0_error(value, h, k) <= err, (h, k)
+
+
+class TestReciprocityValues:
+    """`reciprocity_values`, the route of `cotsums c0` past one direct tile."""
+
+    @pytest.mark.parametrize("b,count", [(32771, 50), (100003, 50), (1000003, 5)])
+    def test_within_err_bound_and_below_the_direct_bound(self, b, count):
+        for r in _units(b, count, b):
+            f = ReducedFraction(r, b)
+            got, direct = asy.reciprocity_values(f), core.c0_q_v(f)
+            for name, g, want, d in zip("cqv", got, exact_sums(r, b), direct):
+                assert abs(Fraction(g.value) - want) <= g.err_bound, (r, name)
+                assert g.err_bound <= d.err_bound, (r, name)
+
+    def test_q_at_one_is_exactly_zero(self):
+        q = asy.reciprocity_values(ReducedFraction(1, 1000003))[1]
+        assert (q.value.hex(), q.err_bound) == ((0.0).hex(), 0.0)
+
+    @pytest.mark.parametrize("b", [32771, 100003, 1000003, 9999991])
+    def test_reflection_and_inverse_bit_for_bit(self, b):
+        for r in _units(b, 40, b + 1):
+            c, _, v = asy.reciprocity_values(ReducedFraction(r, b))
+            mirror = asy.reciprocity_values(ReducedFraction(b - r, b))[0]
+            inverse = asy.reciprocity_values(ReducedFraction(pow(r, -1, b), b))[0]
+            assert ((-c.value).hex(), c.err_bound) == (mirror.value.hex(), mirror.err_bound)
+            assert v.value.hex() == (-inverse.value).hex()
+
+    def test_levels_are_counted_as_terms(self):
+        # 3/11 -> 2/3 reflects to 1/3, which ends the chain: two levels
+        c, q, v = asy.reciprocity_values(ReducedFraction(3, 11))
+        assert c.terms == 2 and v.terms == asy.reciprocity_values(ReducedFraction(4, 11))[0].terms
+        assert q.terms == c.terms + 1
+
+    def test_rejects_modulus_past_int64_products(self):
+        with pytest.raises(ValueError, match="int64"):
+            asy.reciprocity_values(ReducedFraction(1, core._B_MAX + 2))

@@ -1,12 +1,15 @@
 import csv
 import hashlib
 import json
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cotsums import cli
+from cotsums import asymptotics, cli, core
+from conftest import exact_sums
 
 
 def run(argv):
@@ -53,6 +56,27 @@ class TestC0Command:
         assert run(["c0", "--r", "1", "--b", "3037000500"]) == 2
         assert "b <= 3037000499 required" in capsys.readouterr().err
 
+    def test_reciprocity_route_starts_past_one_direct_tile(self, capsys, monkeypatch):
+        # (32749 - 1)//2 = 16374 paired terms fit one tile of 2^14; 32771 has 16385
+        def refuse(*args, **kwargs):
+            raise AssertionError("the other route ran")
+
+        monkeypatch.setattr(asymptotics, "reciprocity_values", refuse)
+        assert run(["c0", "--r", "12345", "--b", "32749"]) == 0
+        assert capsys.readouterr().out == (
+            "c0(12345/32749) = 16594.10623426345 (err_bound 6.66e-08)\n"
+            "Q(12345/32749) = -204759004.81181362 (err_bound 0.000823)\n"
+            "V(12345/32749) = -2729.4063761660955 (err_bound 1.92e-08)\n"
+            "Estermann(0; 12345/32749) = (0.25, 8297.0531171317252)\n"
+        )
+        monkeypatch.undo()
+        c, q, v = asymptotics.reciprocity_values(core.ReducedFraction(12345, 32771))
+        monkeypatch.setattr(core, "c0_q_v", refuse)
+        assert run(["c0", "--r", "12345", "--b", "32771"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        for line, name, value in zip(out, ("c0", "Q", "V"), (c, q, v)):
+            assert line == f"{name}(12345/32771) = {cli._g17(value.value)} (err_bound {value.err_bound:.3g})"
+
 
 def _golden_cases():
     # "$ cotsums <argv>" lines of the golden file, each with the stdout after it
@@ -80,15 +104,30 @@ def test_usage_error_is_one_stderr_line(capsys, argv):
     assert captured.err.endswith("\n")
 
 
+_VALUE_LINE = re.compile(r"^(c0|Q|V)\((\d+)/(\d+)\) = (\S+) \(err_bound (\S+)\)$")
+
+
 class TestC0Golden:
     # b = 2..105, composite 30030 at r = 1 and b - 1, primes with 1, 2 and 4
     # chunks of the direct kernel (10007, 524309, 2097143), the benchmark's
     # point values, and the primes 46337 and 46349 on either side of the
-    # kernel's int32/int64 switch, in both precisions
+    # kernel's int32/int64 switch, in both precisions.  Oracle values and
+    # default ones up to b = 32769 come from the direct kernel; default values
+    # past one direct tile (b >= 32771) from `asymptotics.reciprocity_values`
     @pytest.mark.parametrize("argv,want", _golden_cases())
     def test_stdout_is_byte_identical(self, capsys, argv, want):
         assert run(argv) == 0
         assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize(
+        "argv,want",
+        [case for case in _golden_cases() if case.values[0][-1] == "default" and int(case.values[0][4]) >= 32771],
+    )
+    def test_reciprocity_values_within_printed_bound(self, argv, want):
+        lines = [_VALUE_LINE.match(line).groups() for line in want.splitlines()[:3]]
+        r, b = int(lines[0][1]), int(lines[0][2])
+        for (name, *_, value, bound), exact in zip(lines, exact_sums(r, b)):
+            assert abs(Fraction(float(value)) - exact) <= float(bound), name
 
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden"

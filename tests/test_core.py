@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cotsums import core
 from cotsums.core import ReducedFraction, c0, q_sum, vasyunin
-from conftest import mp_cot
+from conftest import exact_sums, mp_cot
 
 SQRT3 = math.sqrt(3.0)
 
@@ -45,6 +45,19 @@ class TestErrBound:
             for oracle in (False, True):
                 got = fn(f, oracle=oracle)
                 assert abs(got.value - exact) <= got.err_bound, (fn.__name__, oracle)
+
+
+def test_fixed_point_reference_matches_mpmath():
+    # the 200-bit sums of conftest against the defining sums in 300-bit mpmath
+    b = 101
+    with mpmath.workprec(300):
+        cot = [0] + [mpmath.cot(mpmath.pi * k / b) for k in range(1, b)]
+        for r in (1, 2, 37, 100):
+            c = -mpmath.fsum(mpmath.mpf(m) / b * cot[m * r % b] for m in range(1, b))
+            q = mpmath.fsum((m * r // b) * cot[m * r % b] for m in range(1, b))
+            v = mpmath.fsum(mpmath.mpf(m * r % b) / b * cot[m] for m in range(1, b))
+            for want, got in zip((c, q, v), exact_sums(r, b)):
+                assert abs(want - mpmath.mpf(got.numerator) / got.denominator) < mpmath.mpf(2) ** -170
 
 
 def _indexed_cot_table(b):

@@ -3,7 +3,6 @@ import json
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +23,7 @@ from cotsums.equidist import (
     scan,
 )
 from cotsums.gseries import EmpiricalCDF
-from conftest import mp_cot
+from conftest import exact_sums
 
 
 class TestEulerPhi:
@@ -63,18 +62,13 @@ class TestScanWindow:
         assert equidist.window_residues(w).tolist() == [7, 11]
 
 
-def _mp_c0(r, p):
-    with mpmath.workdps(30):
-        cot = mp_cot(p)
-        return float(-mpmath.fdot((m, cot[m * r % p]) for m in range(1, p)) / p)
-
-
 class TestBatchC0:
     def _assert_fft_within_bound(self, p, r):
         rs, c0v = equidist.batch_c0(p)
         assert rs[r - 1] == r
         bound = c0(ReducedFraction(r, p)).err_bound
-        assert abs(c0v[r - 1] - _mp_c0(r, p)) <= bound
+        [want] = exact_sums(r, p, ("c0",))
+        assert abs(Fraction(c0v[r - 1]) - want) <= bound
 
     @given(st.sampled_from((2, 3, 5, 7, 11, 13, 101, 1009)), st.data())
     def test_fft_route_within_err_bound(self, p, data):
@@ -213,7 +207,8 @@ class TestUnitGroupFFT:
             rs = rs[np.linspace(0, len(rs) - 1, 8).astype(int)]
         for r in rs.tolist():
             bound = c0(ReducedFraction(r, b)).err_bound
-            assert abs(by_r[r] - _mp_c0(r, b)) <= bound, r
+            [want] = exact_sums(r, b, ("c0",))
+            assert abs(Fraction(by_r[r]) - want) <= bound, r
 
     def test_oddness_is_bitwise_exact(self):
         # c0((b-r)/b) = -c0(r/b) bit for bit at every b, whatever the shape of
