@@ -5,6 +5,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 `main` alone decides them: `c0`, `scan` and `asympt` raise `ValueError` for
 a usage fault and let a failed write's `OSError` through, and `verify`
 reports its own failures.
+`verify --suite all` runs its suites in forked workers, one per CPU in the
+affinity mask up to nine; each worker is a forked copy of this process.
+Each line is printed in suite order once its result arrives, and its
+`[ms]` is that suite's own time inside its worker.  The suites run
+serially, in this process, when one worker would do (one suite or one
+CPU), when another thread is alive (forking a multi-threaded process can
+deadlock the child), and off Linux (fork is unsafe on macOS).
 Output files land in the directory named by the COTSUMS_OUTDIR environment
 variable (falling back to the working directory) unless an explicit path is
 given.  All numbers are serialized with 17 significant digits, CSV with
@@ -21,6 +28,7 @@ import json
 import math
 import os
 import sys
+import threading
 import time
 
 import numpy as np
@@ -402,18 +410,38 @@ _SUITE_FUNCS = {
 VERIFY_SUITES = tuple(_SUITE_FUNCS)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    names = VERIFY_SUITES if args.suite == "all" else (args.suite,)
+def _timed_suite(name: str) -> tuple[bool, float, str, float]:
+    # one suite and its own milliseconds, in whichever process runs it
+    tic = time.perf_counter()
+    passed, worst, detail = _SUITE_FUNCS[name]()
+    return passed, worst, detail, (time.perf_counter() - tic) * 1e3
+
+
+def _report(names, results) -> int:
     failures = 0
-    for name in names:
-        tic = time.perf_counter()
-        passed, worst, detail = _SUITE_FUNCS[name]()
-        ms = (time.perf_counter() - tic) * 1e3
+    for name, (passed, worst, detail, ms) in zip(names, results):
         status = "PASS" if passed else "FAIL"
         print(f"{name}: {status} (worst residual {worst:.3g}; {detail}) [{ms:.0f} ms]")
         if not passed:
             failures += 1
     return 1 if failures else 0
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    names = VERIFY_SUITES if args.suite == "all" else (args.suite,)
+    workers = min(len(names), gseries._cpus())
+    if workers == 1 or threading.active_count() > 1 or sys.platform != "linux":
+        return _report(names, map(_timed_suite, names))
+    # imported here: at module level they would add to every CLI start
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # `map` yields in suite order and raises a suite's exception with its own
+    # type, a dead worker's as BrokenProcessPool (a `multiprocessing.Pool`
+    # waits for that suite forever); leaving cancels the suites not started
+    # and joins every worker
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return _report(names, pool.map(_timed_suite, names))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -175,10 +175,11 @@ def _extract(p: np.ndarray, parts: list) -> np.ndarray:
         for k in np.flatnonzero(finite & np.isinf(sigma[:, 0])).tolist():
             parts[k] += p[k].tolist()
         live = finite & np.isfinite(sigma[:, 0]) & (top > 0)
+        buf = np.empty_like(p)  # every q in one buffer: a fresh q per pass page-faults
         while live.any():
             if not live.all():
                 rows, p, sigma = rows[live], p[live], sigma[live]
-            q = p + sigma
+            q = np.add(p, sigma, out=buf[: len(p)])
             q -= sigma
             p -= q
             for k, s in zip(rows.tolist(), q.sum(axis=1).tolist()):
@@ -254,10 +255,11 @@ def direct_sums(rs, b: int, rows, *, oracle: bool = False):
     terms per row, whatever b or len(rs).  math.fsum rounds each sum's
     pieces once (an empty sum is +0.0): its chunks' pairwise `np.add.reduce`
     sums, or with `oracle` the exact parts that `_extract` takes from blocks
-    of about one tile's cells, so an oracle value is the float nearest the
-    exact sum of its float terms.  A value does not depend on the other
-    residues or rows.  Both results are (len(rows), len(rs)); a name may
-    appear in `rows` once; |r| <= (2^63 - 1) // b, as int64 r m overflows.
+    of about one tile's cells as soon as the tile is formed, so an oracle
+    value is the float nearest the exact sum of its float terms.  A value
+    does not depend on the other residues or rows.  Both results are
+    (len(rows), len(rs)); a name may appear in `rows` once;
+    |r| <= (2^63 - 1) // b, as int64 r m overflows.
     """
     _check_modulus(b)
     units, r_max = np.asarray(rs).tolist(), (2**63 - 1) // b
@@ -284,8 +286,10 @@ def _direct_sums(rs: np.ndarray, rbar, b: int, rows, oracle: bool = False):
     several = oracle or chunk < half  # else a value is 0.0 + one pairwise sum, its math.fsum
     values, biggest = np.zeros((len(rows), len(rs))), np.zeros((len(rows), len(rs)))
     # Buffers allocated once: fresh chunk-sized temporaries would page-fault.
-    terms, cbuf = np.empty(len(rows) * group * chunk), np.empty(width)
+    # The oracle sums each tile as soon as it is filled, so its terms take one tile.
+    terms, cbuf = np.empty(len(rows) * group * (width if oracle else chunk)), np.empty(width)
     ints = np.empty((2, group * width), dtype=dtype)
+    step = max(1, _TILE_K // width)  # residues per oracle block of about one tile's cells
     for g0 in range(0, len(rs), group):
         g = min(group, len(rs) - g0)
         if group > 1:
@@ -295,22 +299,21 @@ def _direct_sums(rs: np.ndarray, rbar, b: int, rows, oracle: bool = False):
         parts = [[] for _ in range(len(rows) * g)] if several else None  # row-major
         for k0 in range(1, half + 1, chunk):
             n = min(chunk, half + 1 - k0)
-            t = terms[: len(rows) * g * n].reshape(len(rows), *lead, n)
+            t = None if oracle else terms[: len(rows) * g * n].reshape(len(rows), *lead, n)
             for j in range(0, n, width):
                 w = min(width, n - j)
                 k = np.arange(k0 + j, k0 + j + w, dtype=dtype)
                 iw = ints[:, : g * w].reshape(2, *lead, w)
-                _fill(dict(zip(rows, t[..., j : j + w])), r, rb, k, _cot(k, b, cbuf[:w]), b, iw[0], iw[1])
-            if oracle:
-                top = np.maximum(np.abs(t.max(-1)), np.abs(t.min(-1)))  # before _extract zeroes t
-                # blocks of about one tile's cells: `step` residues by `width` values of k
-                step, t = max(1, _TILE_K // width), t.reshape(len(rows), g, n)
-                for i in range(0, g, step):
-                    for j in range(0, n, width):
-                        block = t[:, i : i + step, j : j + width]
+                tile = terms[: len(rows) * g * w].reshape(len(rows), *lead, w) if oracle else t[..., j : j + w]
+                _fill(dict(zip(rows, tile)), r, rb, k, _cot(k, b, cbuf[:w]), b, iw[0], iw[1])
+                if oracle:
+                    most = np.maximum(np.abs(tile.max(-1)), np.abs(tile.min(-1)))  # before _extract zeroes it
+                    top, tile = most if j == 0 else np.maximum(top, most), tile.reshape(len(rows), g, w)
+                    for i in range(0, g, step):
+                        block = tile[:, i : i + step]
                         ids = [x * g + y for x in range(len(rows)) for y in range(i, i + block.shape[1])]
                         _extract(block.reshape(len(ids), -1), [parts[x] for x in ids])
-            else:
+            if not oracle:
                 sums = np.add.reduce(t, axis=-1, initial=0.0)
                 top = np.abs(t, out=t).max(axis=-1)
                 if several:

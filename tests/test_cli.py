@@ -1,14 +1,20 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cotsums import asymptotics, cli, core
+from cotsums import asymptotics, cli, core, gseries
 from conftest import exact_sums
 
 
@@ -492,6 +498,107 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert "unrecognized arguments: " + " ".join(argv[2:]) in captured.err
         assert captured.out == ""
+
+
+_VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_golden.txt"
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    # the (start method, workers) of every pool `verify` builds
+    made = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context):
+            made.append((mp_context.get_start_method(), max_workers))
+            super().__init__(max_workers, mp_context=mp_context)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    return made
+
+
+@pytest.fixture
+def fake_suites(monkeypatch):
+    # every suite replaced by an instant pass; a test may patch one further
+    for name in cli.VERIFY_SUITES:
+        monkeypatch.setitem(cli._SUITE_FUNCS, name, lambda name=name: (True, 0.0, name))
+    return cli._SUITE_FUNCS
+
+
+def _lines(out):
+    return [re.sub(r" \[\d+ ms\]$", "", line) for line in out.splitlines()]
+
+
+class TestVerifyWorkers:
+    """`verify --suite all` in forked workers, one per CPU up to nine."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_lines_match_golden_at_any_cpu_count(self, monkeypatch, capsys, pools, cpus):
+        monkeypatch.setattr(gseries, "_cpus", lambda: cpus)
+        assert run(["verify", "--suite", "all"]) == 0
+        golden = [s for s in _VERIFY_GOLDEN.read_text(encoding="utf-8").splitlines() if not s.startswith("#")]
+        assert _lines(capsys.readouterr().out) == golden
+        assert pools == ([] if cpus == 1 else [("fork", cpus)])
+        assert multiprocessing.active_children() == []
+
+    def test_failing_suite_prints_fail_in_its_place(self, monkeypatch, capsys, pools, fake_suites):
+        monkeypatch.setattr(gseries, "_cpus", lambda: 2)
+        monkeypatch.setitem(fake_suites, "c1", lambda: (False, 0.5, "patched"))
+        assert run(["verify", "--suite", "all"]) == 1
+        want = [f"{name}: PASS (worst residual 0; {name})" for name in cli.VERIFY_SUITES]
+        want[cli.VERIFY_SUITES.index("c1")] = "c1: FAIL (worst residual 0.5; patched)"
+        assert _lines(capsys.readouterr().out) == want
+        assert pools == [("fork", 2)]
+
+    def test_raising_suite_reaches_caller_with_its_type(self, monkeypatch, capsys, pools, fake_suites):
+        def boom():
+            raise ZeroDivisionError("suite bug")
+
+        monkeypatch.setattr(gseries, "_cpus", lambda: 2)
+        monkeypatch.setitem(fake_suites, "moments", boom)
+        with pytest.raises(ZeroDivisionError, match="suite bug") as caught:
+            run(["verify", "--suite", "all"])
+        assert "boom" in str(caught.value.__cause__)  # the worker's traceback
+        assert pools == [("fork", 2)]
+        assert multiprocessing.active_children() == []
+        capsys.readouterr()
+
+    def test_dead_worker_is_an_error_not_a_hang(self, monkeypatch, capsys, pools, fake_suites):
+        monkeypatch.setattr(gseries, "_cpus", lambda: 2)
+        monkeypatch.setitem(fake_suites, "c1", lambda: os._exit(3))
+        with pytest.raises(concurrent.futures.process.BrokenProcessPool):
+            run(["verify", "--suite", "all"])
+        assert multiprocessing.active_children() == []
+        # the suites before c1 whose results arrived before the death was seen
+        lines = _lines(capsys.readouterr().out)
+        passes = [f"{name}: PASS (worst residual 0; {name})" for name in cli.VERIFY_SUITES]
+        assert len(lines) <= 3 and lines == passes[: len(lines)]
+
+    @pytest.mark.parametrize("case", ["thread", "one suite", "darwin"])
+    def test_serial_cases_start_no_worker(self, monkeypatch, capsys, pools, fake_suites, case):
+        monkeypatch.setattr(gseries, "_cpus", lambda: 4)
+        argv, release = ["verify", "--suite", "all"], threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        if case == "thread":
+            waiter.start()
+        elif case == "one suite":
+            argv[-1] = "closed"
+        else:
+            monkeypatch.setattr(cli.sys, "platform", "darwin")
+        try:
+            assert run(argv) == 0
+        finally:
+            release.set()
+            if waiter.is_alive():
+                waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert len(capsys.readouterr().out.splitlines()) == (1 if case == "one suite" else 9)
+        assert pools == []
+
+    def test_cli_import_leaves_multiprocessing_out(self, child_env):
+        # their import (about 20 ms) would add to every CLI start
+        code = "import cotsums.cli, sys; sys.exit(any(m.split('.')[0] in ('multiprocessing', 'concurrent') for m in sys.modules))"
+        subprocess.run([sys.executable, "-c", code], env=child_env, check=True)
 
 
 def test_main_builds_one_parser(monkeypatch, capsys):
