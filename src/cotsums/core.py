@@ -12,7 +12,7 @@ of sums computes it (same machine and numpy build).  One loop serves
 every call: residues in groups of about 2^18 cells (every unit of
 b <= 725 is one group), each formed tile by tile with k and its
 cotangents computed once per tile.  A sum ends in one math.fsum of its
-pieces: its chunks' pairwise sums, or in oracle precision the exact parts
+pieces: its tiles' pairwise sums, or in oracle precision the exact parts
 of error-free extraction, the routine that also sums the window moments.
 `c0_q_v` is that sweep at one fraction: `cotsums c0` prints it in oracle
 precision, and in default precision while (b - 1)//2 <= `_TILE_K`; past
@@ -131,11 +131,12 @@ def cot_table(b: int) -> np.ndarray:
 # power table in `equidist`) cannot overflow: every factor is below b.
 _B_MAX = math.isqrt(2**63 - 1)
 
-# Terms per sum in a chunk of k, and the cells (residues times terms) of a
-# group of residues that the direct kernel forms together.
+# Cells (residues times terms) of a group of residues that the direct kernel
+# forms together: a group is _CELLS // ((b - 1)//2) residues, at least one.
 _CELLS = 1 << 18
-# The terms are formed in tiles of at most _TILE_K values of k, so that the
-# integer and cot temporaries stay in L2 cache; the values do not depend on them.
+# The terms are formed and summed in tiles of at most _TILE_K values of k, so
+# that the integer and cot temporaries stay in L2 cache; a default value is
+# math.fsum of its tiles' pairwise sums.
 _TILE_K = 1 << 14
 
 _ROWS = ("c0", "q", "v")
@@ -247,16 +248,16 @@ def direct_sums(rs, b: int, rows, *, oracle: bool = False):
     The integer weights run in int32 when every product fits,
     b * max(b, max |r|) < 2^31 (so b <= 46340 at r <= b), else in int64;
     both widths give the same integers, hence the same values.
-    k runs in chunks of min((b-1)//2, `_CELLS`) whose bounds depend only on
-    b, the residues in groups of `_CELLS` // chunk, and a group's terms of
-    every row are formed in tiles of at most `_TILE_K` values of k that
-    compute k, its cotangents (the element operations of `cot_table`; no
-    table is built) and m_k once for the group.  So memory is about 2^18
-    terms per row, whatever b or len(rs).  math.fsum rounds each sum's
-    pieces once (an empty sum is +0.0): its chunks' pairwise `np.add.reduce`
-    sums, or with `oracle` the exact parts that `_extract` takes from blocks
-    of about one tile's cells as soon as the tile is formed, so an oracle
-    value is the float nearest the exact sum of its float terms.  A value
+    k runs in tiles of min((b-1)//2, `_TILE_K`) values whose bounds depend
+    only on b, the residues in groups of `_CELLS` // ((b-1)//2), and a tile
+    computes k, its cotangents (the element operations of `cot_table`; no
+    table is built) and m_k once for the group.  Each tile is summed as
+    soon as it is formed, so memory is one tile of terms per row and group
+    residue, at most 2^18 per row, whatever b or len(rs).  math.fsum rounds
+    each sum's pieces once (an empty sum is +0.0): its tiles' pairwise
+    `np.add.reduce` sums, or with `oracle` the exact parts that `_extract`
+    takes from blocks of about one tile's cells, so an oracle value is the
+    float nearest the exact sum of its float terms.  A value
     does not depend on the other residues or rows.  Both results are
     (len(rows), len(rs)); a name may appear in `rows` once;
     |r| <= (2^63 - 1) // b, as int64 r m overflows.
@@ -281,13 +282,11 @@ def _direct_sums(rs: np.ndarray, rbar, b: int, rows, oracle: bool = False):
     dtype = np.int32 if b * max(b, max(map(abs, rs.tolist()), default=0)) < 2**31 else np.int64
     rs, rbar = rs.astype(dtype), np.asarray(rbar, dtype=dtype)
     half = (b - 1) // 2
-    chunk = max(1, min(half, _CELLS))
-    width, group = min(chunk, _TILE_K), max(1, min(len(rs), _CELLS // chunk))
-    several = oracle or chunk < half  # else a value is 0.0 + one pairwise sum, its math.fsum
+    width, group = max(1, min(half, _TILE_K)), max(1, min(len(rs), _CELLS // max(1, half)))
+    several = oracle or width < half  # else a value is 0.0 + one pairwise sum, its math.fsum
     values, biggest = np.zeros((len(rows), len(rs))), np.zeros((len(rows), len(rs)))
-    # Buffers allocated once: fresh chunk-sized temporaries would page-fault.
-    # The oracle sums each tile as soon as it is filled, so its terms take one tile.
-    terms, cbuf = np.empty(len(rows) * group * (width if oracle else chunk)), np.empty(width)
+    # Buffers allocated once: fresh tile-sized temporaries would page-fault.
+    terms, cbuf = np.empty(len(rows) * group * width), np.empty(width)
     ints = np.empty((2, group * width), dtype=dtype)
     step = max(1, _TILE_K // width)  # residues per oracle block of about one tile's cells
     for g0 in range(0, len(rs), group):
@@ -297,25 +296,22 @@ def _direct_sums(rs: np.ndarray, rbar, b: int, rows, oracle: bool = False):
         else:  # a lone residue is a scalar against k, which spares every ufunc a broadcast
             cols, lead, r, rb = g0, (), rs[g0], rbar[g0]
         parts = [[] for _ in range(len(rows) * g)] if several else None  # row-major
-        for k0 in range(1, half + 1, chunk):
-            n = min(chunk, half + 1 - k0)
-            t = None if oracle else terms[: len(rows) * g * n].reshape(len(rows), *lead, n)
-            for j in range(0, n, width):
-                w = min(width, n - j)
-                k = np.arange(k0 + j, k0 + j + w, dtype=dtype)
-                iw = ints[:, : g * w].reshape(2, *lead, w)
-                tile = terms[: len(rows) * g * w].reshape(len(rows), *lead, w) if oracle else t[..., j : j + w]
-                _fill(dict(zip(rows, tile)), r, rb, k, _cot(k, b, cbuf[:w]), b, iw[0], iw[1])
-                if oracle:
-                    most = np.maximum(np.abs(tile.max(-1)), np.abs(tile.min(-1)))  # before _extract zeroes it
-                    top, tile = most if j == 0 else np.maximum(top, most), tile.reshape(len(rows), g, w)
-                    for i in range(0, g, step):
-                        block = tile[:, i : i + step]
-                        ids = [x * g + y for x in range(len(rows)) for y in range(i, i + block.shape[1])]
-                        _extract(block.reshape(len(ids), -1), [parts[x] for x in ids])
-            if not oracle:
-                sums = np.add.reduce(t, axis=-1, initial=0.0)
-                top = np.abs(t, out=t).max(axis=-1)
+        for k0 in range(1, half + 1, width):
+            w = min(width, half + 1 - k0)
+            k = np.arange(k0, k0 + w, dtype=dtype)
+            iw = ints[:, : g * w].reshape(2, *lead, w)
+            tile = terms[: len(rows) * g * w].reshape(len(rows), *lead, w)
+            _fill(dict(zip(rows, tile)), r, rb, k, _cot(k, b, cbuf[:w]), b, iw[0], iw[1])
+            if oracle:
+                top = np.maximum(np.abs(tile.max(-1)), np.abs(tile.min(-1)))  # before _extract zeroes it
+                tile = tile.reshape(len(rows), g, w)
+                for i in range(0, g, step):
+                    block = tile[:, i : i + step]
+                    ids = [x * g + y for x in range(len(rows)) for y in range(i, i + block.shape[1])]
+                    _extract(block.reshape(len(ids), -1), [parts[x] for x in ids])
+            else:
+                sums = np.add.reduce(tile, axis=-1, initial=0.0)
+                top = np.abs(tile, out=tile).max(axis=-1)
                 if several:
                     for part, s in zip(parts, sums.ravel().tolist()):
                         part.append(s)

@@ -19,15 +19,6 @@ settings.load_profile("suite")
 SCAN_MODULI = (1009, 2003, 5003, 10007)
 
 
-@functools.lru_cache(maxsize=None)
-def mp_cot(p):
-    # cot(pi k / p) for k = 0..p-1 in 30 digits; cospi is exactly 0 at k/p = 1/2
-    with mpmath.workdps(30):
-        half = [mpmath.cospi(mpmath.mpf(k) / p) / mpmath.sinpi(mpmath.mpf(k) / p)
-                for k in range(1, p // 2 + 1)]
-    return [mpmath.mpf(0)] + half + [-x for x in reversed(half[: (p - 1) // 2])]
-
-
 # The exact c0, Q and V from cot(pi k / b) in 200-bit fixed point.
 _FIXED_BITS = 200
 

@@ -114,8 +114,8 @@ _VALUE_LINE = re.compile(r"^(c0|Q|V)\((\d+)/(\d+)\) = (\S+) \(err_bound (\S+)\)$
 
 
 class TestC0Golden:
-    # b = 2..105, composite 30030 at r = 1 and b - 1, primes with 1, 2 and 4
-    # chunks of the direct kernel (10007, 524309, 2097143), the benchmark's
+    # b = 2..105, composite 30030 at r = 1 and b - 1, primes with 1, 17 and 64
+    # tiles of the direct kernel (10007, 524309, 2097143), the benchmark's
     # point values, and the primes 46337 and 46349 on either side of the
     # kernel's int32/int64 switch, in both precisions.  Oracle values and
     # default ones up to b = 32769 come from the direct kernel; default values

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cotsums import core
 from cotsums.core import ReducedFraction, c0, q_sum, vasyunin
-from conftest import exact_sums, mp_cot
+from conftest import exact_sums
 
 SQRT3 = math.sqrt(3.0)
 
@@ -22,14 +23,14 @@ def coprime_pairs(max_b):
     )
 
 
-def _exact_sums(r, b):
-    # c0, Q and V at r/b from 30-digit cotangents, rounded once to float
-    with mpmath.workdps(30):
-        cot = mp_cot(b)
-        c = -mpmath.fdot((m, cot[m * r % b]) for m in range(1, b)) / b
-        q = mpmath.fdot((m * r // b, cot[m * r % b]) for m in range(1, b))
-        v = mpmath.fdot((mpmath.mpf(m * r % b) / b, cot[m]) for m in range(1, b))
-    return {c0: float(c), q_sum: float(q), vasyunin: float(v)}
+def _assert_within_err_bound(r, b):
+    # c0, Q and V at r/b in both precisions against the exact sums, compared
+    # as Fractions; a bound of 0 demands the exact value
+    f = ReducedFraction(r, b)
+    for fn, exact in zip((c0, q_sum, vasyunin), exact_sums(r, b)):
+        for oracle in (False, True):
+            got = fn(f, oracle=oracle)
+            assert abs(Fraction(got.value) - exact) <= got.err_bound, (fn.__name__, r, b, oracle)
 
 
 class TestErrBound:
@@ -37,14 +38,13 @@ class TestErrBound:
     @example((1, 2))  # c0(1/2) = 0 with err_bound 0
     @example((1, 2999))  # Q(1/b) = 0 with err_bound 0: every floor(m/b) is 0
     @given(coprime_pairs(3000))
-    def test_within_err_bound_of_30_digit_value(self, rb):
-        # a bound of 0 demands the exact value
-        r, b = rb
-        f = ReducedFraction(r, b)
-        for fn, exact in _exact_sums(r, b).items():
-            for oracle in (False, True):
-                got = fn(f, oracle=oracle)
-                assert abs(got.value - exact) <= got.err_bound, (fn.__name__, oracle)
+    def test_within_err_bound_of_fixed_point_value(self, rb):
+        _assert_within_err_bound(*rb)
+
+    @pytest.mark.parametrize("b", [32771, 100003, 1_000_003])  # 2, 4 and 31 tiles of k
+    def test_within_err_bound_past_one_tile(self, b):
+        for r in (1, 2, 12345, b // 3, b - 2):
+            _assert_within_err_bound(r, b)
 
 
 def test_fixed_point_reference_matches_mpmath():
@@ -90,7 +90,7 @@ class TestDirectSums:
     def test_pairing_identities_hold_exactly(self, b, oracle):
         # c0(r/b) = -V(rbar/b) and c0((b-r)/b) = -c0(r/b), bit for bit: both
         # sides sum the same products of exactly negated weights in one order
-        if b == 524309:  # two chunks of k
+        if b == 524309:  # 17 tiles of k
             rs = np.array([1, 2, 3, 131077, 262154, 400000])
         else:
             rs = np.array([r for r in range(1, b) if math.gcd(r, b) == 1])
@@ -135,9 +135,9 @@ class TestFusedSweep:
         [
             (3001, list(range(1, 3001))),  # 3000 residues in groups of 174
             (30030, [1, 17, 4097, 15013, 30029]),  # composite
-            (524309, [1, 2, 131077, 400000]),  # two chunks
-            (1500007, [3, 750004]),  # three
-            (2097143, [987654]),  # four
+            (524309, [1, 2, 131077, 400000]),  # 17 tiles of k
+            (1500007, [3, 750004]),  # 46
+            (2097143, [987654]),  # 64
         ],
     )
     def test_rows_equal_one_row_calls_bit_for_bit(self, b, rs, oracle):
@@ -170,7 +170,7 @@ class TestFusedSweep:
             # half = (b-1)//2 = _TILE_K: one tile at one residue, one group of
             # _CELLS // half residues, and a lone residue in a second group
             *((2 * core._TILE_K + 1, n) for n in (1, core._CELLS // core._TILE_K, core._CELLS // core._TILE_K + 1)),
-            # half = _TILE_K + 1: two tiles of one chunk, for groups of 1, 2 and
+            # half = _TILE_K + 1: two tiles, for groups of 1, 2 and
             # 15 + 2 residues (the oracle extracts non-contiguous blocks)
             *((2 * core._TILE_K + 3, n) for n in (1, 2, 17)),
             # half = 1024: one group of len(rs) * half = _CELLS, and a second group
@@ -218,7 +218,7 @@ class TestFusedSweep:
             assert core.c0_q_v(f, oracle=oracle) == want
 
     def test_tile_cotangents_equal_the_table(self):
-        # the kernel's tiles start at 1 + 2^14 j within chunks of 2^18 k
+        # the kernel's tiles start at 1 + 2^14 j; the last one at this b has 8481 k
         b = 1_000_003
         table = core.cot_table(b)
         for a, w in ((1, 1 << 14), (1 + (1 << 14), 1 << 14), (1 + (1 << 18), 1 << 14),
@@ -236,19 +236,21 @@ class TestFusedSweep:
         core.c0_q_v(f)
         assert core.cot_table.cache_info() == before
 
-    def test_memory_of_a_point_value_is_bounded_by_a_chunk(self):
-        # a cot table at this b alone would take 16 MB; a chunk of terms is 2 MB.
-        # The oracle extracts a tile of each row at a time; extraction over the
-        # whole (rows, k) block would add a block-sized copy per pass.
-        calls = (lambda: c0(ReducedFraction(1, 2_000_003)),
-                 lambda: core.c0_q_v(ReducedFraction(412345, 1_000_003), oracle=True))
+    def test_memory_of_a_point_value_is_bounded_by_a_tile(self):
+        # a cot table at 2000003 alone would take 16 MB; a tile of terms is
+        # 128 KB per row, which both precisions sum as soon as it is filled.
+        # Extraction over the whole (rows, k) block would add a block-sized
+        # copy per pass, and default terms held over 2^18 k would take 6 MB.
+        calls = ((lambda: c0(ReducedFraction(1, 2_000_003)), 12 << 20),
+                 (lambda: core.c0_q_v(ReducedFraction(412345, 1_000_003), oracle=True), 12 << 20),
+                 (lambda: core.c0_q_v(ReducedFraction(412345, 1_000_003)), 2 << 20))
         tracemalloc.start()
         try:
-            for call in calls:
+            for call, bound in calls:
                 tracemalloc.reset_peak()
                 call()
                 _, peak = tracemalloc.get_traced_memory()
-                assert peak < 12 << 20, call
+                assert peak < bound, call
         finally:
             tracemalloc.stop()
 
@@ -264,20 +266,21 @@ def _paired_terms(r, b):
 
 class TestFsumOfPieces:
     """Each direct sum is math.fsum of its pieces: of its float terms with
-    `oracle`, else of its chunks' pairwise sums."""
+    `oracle`, else of its tiles' pairwise sums."""
 
     @pytest.mark.parametrize(
         "r,b",
-        # one chunk of k up to b = 524289, then 2 and 4 chunks
-        [(4, 11), (3001, 10007), (15013, 30030), (41234, 100003), (123457, 524309), (987654, 2097143)],
+        # one tile of k up to b = 32769, then 2, 2, 4, 17 and 64 tiles
+        [(4, 11), (3001, 10007), (15013, 30030), (16385, 32769), (12345, 32771), (30000, 65537),
+         (41234, 100003), (123457, 524309), (987654, 2097143)],
     )
     def test_oracle_is_fsum_of_terms_default_of_chunk_sums(self, r, b):
         oracle, _ = core.direct_sums([r], b, core._ROWS, oracle=True)
         default, _ = core.direct_sums([r], b, core._ROWS)
         for i, (row, t) in enumerate(_paired_terms(r, b).items()):
             assert float(oracle[i, 0]).hex() == math.fsum(t.tolist()).hex(), row
-            chunks = [np.add.reduce(t[j : j + core._CELLS]) for j in range(0, len(t), core._CELLS)]
-            assert float(default[i, 0]).hex() == math.fsum(chunks).hex(), row
+            tiles = [np.add.reduce(t[j : j + core._TILE_K]) for j in range(0, len(t), core._TILE_K)]
+            assert float(default[i, 0]).hex() == math.fsum(tiles).hex(), row
 
 
 def _fsum_of_product_powers(x, k_max):
@@ -433,7 +436,7 @@ class TestVasyunin:
 
 class TestQSum:
     def test_unit_numerator_is_exactly_zero(self):
-        # b = 2 _TILE_K + 3 sums two tiles and 524309 two chunks of k
+        # b = 2 _TILE_K + 3 sums two tiles of k and 524309 seventeen
         for b, oracle in itertools.product([*range(2, 1001), 2 * core._TILE_K + 3, 524309], (False, True)):
             v = q_sum(ReducedFraction(1, b), oracle=oracle)
             assert v.value == 0.0 and math.copysign(1.0, v.value) == 1.0, (b, oracle)
